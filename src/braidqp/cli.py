@@ -2,7 +2,9 @@
 
 Subcommands: nf, invariants, sc, orbit, conjugate, recognize, qp3.  Braid
 words use the grammar of the words module.  Exit codes: 0 on success (a NO
-verdict is a success), 2 on malformed input, 3 when a resource cap is hit.
+verdict is a success), 2 on malformed input (including more than
+MAX_STRANDS strands), 3 when a resource cap is hit or the recursion limit or
+memory runs out.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ from .words import (
 
 MAX_SC_ENV = "BRAIDQP_MAX_SC"
 MAX_ORBIT_ENV = "BRAIDQP_MAX_ORBIT"
+# Strand bound of the command line (the library has none): the dual structure
+# alone builds n(n-1)/2 atoms of length n, which is cubic in n.
+MAX_STRANDS = 64
 
 
 class _Report:
@@ -74,6 +79,8 @@ def _env_int(name: str, fallback: int) -> int:
 
 
 def _structure(args: argparse.Namespace) -> GarsideStructure:
+    if args.strands > MAX_STRANDS:
+        raise ValueError(f"at most {MAX_STRANDS} strands are supported, got {args.strands}")
     kind = StructureKind(args.structure)
     return structure_for(StructureId(args.strands, kind))
 
@@ -110,12 +117,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help=f"cap on orbit/trajectory length (env {MAX_ORBIT_ENV})",
-    )
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="worker threads for sliding-circuits expansion",
     )
 
 
@@ -175,7 +176,7 @@ def _cmd_sc(args: argparse.Namespace, report: _Report) -> int:
     st = _structure(args)
     max_sc, max_orbit = _caps(args)
     x = st.nf_from_word(_parse(st, args.word))
-    sc = sliding_circuits(x, max_sc, max_orbit, args.threads)
+    sc = sliding_circuits(x, max_sc, max_orbit)
     report.add("sc_size", len(sc))
     report.add("arrows", len(sc.arrows))
     report.add("orbit_sizes", _cycling_orbit_sizes(sc.elements))
@@ -303,8 +304,8 @@ def main(argv: list[str] | None = None) -> int:
     except (WordSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ResourceCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ResourceCapExceeded, RecursionError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
     report.emit()
     return code

@@ -11,7 +11,6 @@ keeps a witness so membership answers come with an explicit conjugator.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .core import GarsideStructure, NormalForm, Simple
@@ -222,7 +221,6 @@ def sliding_circuits(
     x: NormalForm,
     max_sc: int = DEFAULT_MAX_SC,
     max_orbit: int = DEFAULT_MAX_ORBIT,
-    threads: int = 0,
 ) -> SlidingCircuits:
     """Enumerate the whole sliding-circuits set of the class of x."""
     st = x.structure
@@ -230,45 +228,36 @@ def sliding_circuits(
     sc = SlidingCircuits(st, x)
     sc.elements[rep] = w0
     frontier = [rep]
-    pool = ThreadPoolExecutor(threads) if threads > 1 else None
-    try:
-        while frontier:
-            y = frontier.pop()
-            wy = sc.elements[y]
-            atoms = range(len(st.atoms))
-            if pool is not None:
-                minima = list(pool.map(lambda a: min_sc_conjugator(y, a, max_orbit), atoms))
-            else:
-                minima = [min_sc_conjugator(y, a, max_orbit) for a in atoms]
-            candidates = sorted(set(minima), key=st.norm)
-            # keep only the divisibility-minimal candidates
-            arrows = [
-                c
-                for c in candidates
-                if not any(d != c and st.is_prefix(d, c) for d in candidates)
-            ]
-            trivial = not y.factors
-            iota = st.identity if trivial else initial_factor(y)
-            dphi = st.identity if trivial else st.complement(final_factor(y))
-            for c in arrows:
-                z = st.nf_conjugate_by_simple(y, c)
-                sc.arrows.append(
-                    Arrow(
-                        y,
-                        c,
-                        z,
-                        trivial or st.is_prefix(c, iota),
-                        trivial or st.is_prefix(c, dphi),
-                    )
+    while frontier:
+        y = frontier.pop()
+        wy = sc.elements[y]
+        minima = {min_sc_conjugator(y, a, max_orbit) for a in range(len(st.atoms))}
+        candidates = sorted(minima, key=st.norm)
+        # keep only the divisibility-minimal candidates
+        arrows = [
+            c
+            for c in candidates
+            if not any(d != c and st.is_prefix(d, c) for d in candidates)
+        ]
+        trivial = not y.factors
+        iota = st.identity if trivial else initial_factor(y)
+        dphi = st.identity if trivial else st.complement(final_factor(y))
+        for c in arrows:
+            z = st.nf_conjugate_by_simple(y, c)
+            sc.arrows.append(
+                Arrow(
+                    y,
+                    c,
+                    z,
+                    trivial or st.is_prefix(c, iota),
+                    trivial or st.is_prefix(c, dphi),
                 )
-                if z not in sc.elements:
-                    sc.elements[z] = st.nf_right_multiply(wy, c)
-                    frontier.append(z)
-                    if len(sc.elements) > max_sc:
-                        raise ResourceCapExceeded("sliding-circuits set", max_sc)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            )
+            if z not in sc.elements:
+                sc.elements[z] = st.nf_right_multiply(wy, c)
+                frontier.append(z)
+                if len(sc.elements) > max_sc:
+                    raise ResourceCapExceeded("sliding-circuits set", max_sc)
     return sc
 
 

@@ -175,11 +175,11 @@ class GarsideStructure(ABC):
 
     @functools.cache
     def delta_power(self, k: int) -> Simple:
-        if k == 0:
-            return self.identity
-        if k > 0:
-            return mult(self.delta_power(k - 1), self.delta)
-        return mult(self.delta_power(k + 1), inverse_perm(self.delta))
+        """delta^k, with k reduced modulo the order of the permutation delta."""
+        powers = [self.identity]
+        while (d := mult(powers[-1], self.delta)) != self.identity:
+            powers.append(d)
+        return powers[k % len(powers)]
 
     @functools.cache
     def tau(self, a: Simple, k: int = 1) -> Simple:

@@ -6,14 +6,17 @@ single-class question is answered by pattern-matching the left normal form of
 the element itself; the two-class question slides the element to a sliding
 circuit and then either tests conjugacy to an explicit product of atom powers
 (when the summit elements are positive) or searches for a conjugate whose
-normal form exhibits the product shape: for the dual structure one cycling
-orbit suffices, for the standard structure the whole sliding-circuits set is
-searched.  Every YES comes with a witness that re-multiplies to the input.
+normal form exhibits the product shape.  Both structures share this one
+pipeline and differ only in the search space: for the dual structure one
+cycling orbit suffices, for the standard structure the whole sliding-circuits
+set is searched.  Every YES comes with a witness that re-multiplies to the
+input.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .artin import artin_structure
 from .conjugacy import (
@@ -119,22 +122,19 @@ def verify_witness(original: NormalForm, w: FormWitness) -> bool:
 # ----- normal-form pattern matchers -------------------------------------
 
 
-def _is_atom(st: GarsideStructure, s: Simple) -> bool:
-    return s in st.atom_index
-
-
-def _constant_atom_run(
-    st: GarsideStructure, factors: tuple[Simple, ...], allowed: frozenset[int]
-) -> Simple | None:
+def _constant_atom_run(st: GarsideStructure, factors: tuple[Simple, ...]) -> Simple | None:
     """The common atom of a run of identical atom factors, if any."""
-    if not factors:
-        return None
-    s = factors[0]
-    if not _is_atom(st, s) or st.atom_index[s] not in allowed:
-        return None
-    if any(f != s for f in factors[1:]):
-        return None
-    return s
+    if len(set(factors)) == 1 and factors[0] in st.atom_index:
+        return factors[0]
+    return None
+
+
+def _run_candidates(st: GarsideStructure, run: tuple[Simple, ...]) -> list[Simple]:
+    """Standard shape: the atoms x1 may be, given the run of k-1 copies of it."""
+    if not run:
+        return list(st.atoms)
+    x1 = _constant_atom_run(st, run)
+    return [] if x1 is None else [x1]
 
 
 def _ladder_holds(
@@ -157,44 +157,33 @@ def match_power_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | None:
     k-1 copies and x1 folded into B_1, plus x1 being a suffix of A_1.
     """
     st = xt.structure
-    allowed = conjugate_atoms(q.x, st.ident)
     k = q.k
     n = -xt.p
     identity_conj = st.nf(0)
-
-    if st.ident.kind is StructureKind.DUAL:
-        if n < 0 or len(xt.factors) != 2 * n + k:
-            return None
-        x1 = _constant_atom_run(st, xt.factors[n : n + k], allowed)
+    if n < 0:
+        return None  # inf >= 1: no conjugate of an atom power has that form
+    if n == 0:
+        x1 = _constant_atom_run(st, xt.factors) if len(xt.factors) == k else None
         if x1 is None:
             return None
-        a_factors = tuple(xt.factors[n - i] for i in range(1, n + 1))
-        b_factors = tuple(xt.factors[n + k + i - 1] for i in range(1, n + 1))
-        if not _ladder_holds(st, a_factors, b_factors):
+        return FormWitness(xt, identity_conj, "input", 0, k, x1, (), ())
+    a_factors = tuple(reversed(xt.factors[:n]))  # (A_1, ..., A_n)
+
+    if st.ident.kind is StructureKind.DUAL:
+        if len(xt.factors) != 2 * n + k:
+            return None
+        x1 = _constant_atom_run(st, xt.factors[n : n + k])
+        b_factors = xt.factors[n + k :]
+        if x1 is None or not _ladder_holds(st, a_factors, b_factors):
             return None
         return FormWitness(xt, identity_conj, "input", n, k, x1, a_factors, b_factors)
 
     # standard structure
-    if n == 0:
-        if xt.p != 0 or len(xt.factors) != k:
-            return None
-        x1 = _constant_atom_run(st, xt.factors, allowed)
-        if x1 is None:
-            return None
-        return FormWitness(xt, identity_conj, "input", 0, k, x1, (), ())
     if len(xt.factors) != 2 * n + k - 1:
         return None
     fused = xt.factors[n + k - 1]  # the factor x1 B_1
-    if k >= 2:
-        x1 = _constant_atom_run(st, xt.factors[n : n + k - 1], allowed)
-        candidates = [] if x1 is None else [x1]
-    else:
-        candidates = [
-            st.atoms[i] for i in sorted(allowed) if st.atom_prefix(i, fused)
-        ]
-    a_factors = tuple(xt.factors[n - i] for i in range(1, n + 1))
-    rest_b = tuple(xt.factors[n + k - 1 + i] for i in range(1, n))  # B_2 .. B_n
-    for x1 in candidates:
+    rest_b = xt.factors[n + k :]  # B_2 .. B_n
+    for x1 in _run_candidates(st, xt.factors[n : n + k - 1]):
         if not st.is_prefix(x1, fused):
             continue
         if not st.is_suffix(x1, a_factors[0]):  # x1 divides A_1 on the right
@@ -211,22 +200,20 @@ def match_product_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | Non
     st = xt.structure
     assert q.y is not None and q.l is not None
     k, l = q.k, q.l
-    x_allowed = conjugate_atoms(q.x, st.ident)
-    y_allowed = conjugate_atoms(q.y, st.ident)
     n = -xt.p
     if n < 1:
         return None
     identity_conj = st.nf(0)
+    a_factors = tuple(reversed(xt.factors[:n]))  # (A_1, ..., A_n)
 
     if st.ident.kind is StructureKind.DUAL:
         if len(xt.factors) != 2 * n + k + l:
             return None
-        x1 = _constant_atom_run(st, xt.factors[n : n + k], x_allowed)
-        y1 = _constant_atom_run(st, xt.factors[2 * n + k :], y_allowed)
+        x1 = _constant_atom_run(st, xt.factors[n : n + k])
+        y1 = _constant_atom_run(st, xt.factors[2 * n + k :])
         if x1 is None or y1 is None:
             return None
-        a_factors = tuple(xt.factors[n - i] for i in range(1, n + 1))
-        b_factors = tuple(xt.factors[n + k + i - 1] for i in range(1, n + 1))
+        b_factors = xt.factors[n + k : 2 * n + k]
         if not _ladder_holds(st, a_factors, b_factors):
             return None
         return FormWitness(
@@ -236,17 +223,8 @@ def match_product_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | Non
     # standard structure
     if len(xt.factors) != 2 * n + k + l - 2:
         return None
-    a_factors = tuple(xt.factors[n - i] for i in range(1, n + 1))
-    if k >= 2:
-        x1 = _constant_atom_run(st, xt.factors[n : n + k - 1], x_allowed)
-        x_candidates = [] if x1 is None else [x1]
-    else:
-        x_candidates = [st.atoms[i] for i in sorted(x_allowed)]
-    if l >= 2:
-        y1 = _constant_atom_run(st, xt.factors[2 * n + k - 1 :], y_allowed)
-        y_candidates = [] if y1 is None else [y1]
-    else:
-        y_candidates = [st.atoms[i] for i in sorted(y_allowed)]
+    x_candidates = _run_candidates(st, xt.factors[n : n + k - 1])
+    y_candidates = _run_candidates(st, xt.factors[2 * n + k - 1 :])
 
     if n == 1:
         fused = xt.factors[k]  # the factor x1 B_1 y1
@@ -273,7 +251,7 @@ def match_product_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | Non
 
     head = xt.factors[n + k - 1]  # the factor x1 B_1
     tail = xt.factors[2 * n + k - 2]  # the factor B_n y1
-    mid_b = tuple(xt.factors[n + k - 2 + i] for i in range(2, n))  # B_2 .. B_{n-1}
+    mid_b = xt.factors[n + k : 2 * n + k - 2]  # B_2 .. B_{n-1}
     for x1 in x_candidates:
         if not st.is_prefix(x1, head):
             continue
@@ -311,13 +289,7 @@ def summit_length_filter(xt: NormalForm, q: RecognitionQuery) -> bool | None:
     return False if len(xt.factors) != required else None
 
 
-# ----- full recognizers -------------------------------------------------
-
-
-def _as_nf(x: BraidWord | NormalForm, st: GarsideStructure) -> NormalForm:
-    if isinstance(x, NormalForm):
-        return x
-    return st.nf_from_word(x)
+# ----- the recognizer ---------------------------------------------------
 
 
 def _atom_power_product(st: GarsideStructure, q: RecognitionQuery, xi: int, yi: int):
@@ -340,8 +312,8 @@ def _conjugacy_branch(
     """Positive summit: test conjugacy to x1^k y1^l over all atom pairs."""
     st = xt.structure
     sc = sliding_circuits(xt, max_sc, max_orbit)
-    for xi in sorted(conjugate_atoms(q.x, st.ident)):
-        for yi in sorted(conjugate_atoms(q.y, st.ident)):  # type: ignore[arg-type]
+    for xi in range(len(st.atoms)):
+        for yi in range(len(st.atoms)):
             target = _atom_power_product(st, q, xi, yi)
             rep, wt = slide_to_circuit(target, max_orbit)
             if rep not in sc.elements:
@@ -366,104 +338,27 @@ def _conjugacy_branch(
     return RecognitionResult(False)
 
 
-def recognize_dual(
-    x: BraidWord | NormalForm,
-    q: RecognitionQuery,
-    max_sc: int = DEFAULT_MAX_SC,
-    max_orbit: int = DEFAULT_MAX_ORBIT,
-) -> RecognitionResult:
-    """Decide membership for the dual structure.
+def _summit_conjugates(
+    xt: NormalForm, max_sc: int, max_orbit: int
+) -> Iterator[tuple[NormalForm, NormalForm, str]]:
+    """Conjugates of a circuit element to search for the product shape.
 
-    Single-class queries read the answer off the normal form of the input.
-    Two-class queries slide to a circuit, handle the positive case by direct
-    conjugacy tests, and otherwise pattern-match along one cycling orbit.
+    Yields (conjugate, conjugator from xt, location).  For the dual structure
+    one cycling orbit of xt suffices; for the standard structure the whole
+    sliding-circuits set is needed.
     """
-    if q.structure.kind is not StructureKind.DUAL:
-        raise ValueError("query is not over the dual structure")
-    st = structure_for(q.structure)
-    x_nf = _as_nf(x, st)
-    if q.y is None:
-        w = match_power_form(x_nf, q)
-        return RecognitionResult(w is not None, w)
-
-    xt, c = slide_to_circuit(x_nf, max_orbit)
-    if xt.p >= 0:
-        return _conjugacy_branch(xt, c, q, max_sc, max_orbit)
-    if summit_length_filter(xt, q) is False:
-        return RecognitionResult(False)
-    # walk one cycling orbit of the circuit element
-    z = xt
-    cum = st.nf(0)
+    st = xt.structure
+    if st.ident.kind is StructureKind.STANDARD:
+        for z, wz in sliding_circuits(xt, max_sc, max_orbit).elements.items():
+            yield z, wz, "sc"
+        return
+    z, cum = xt, st.nf(0)
     while True:
-        w = match_product_form(z, q)
-        if w is not None:
-            conj = st.nf_multiply(c, cum)
-            return RecognitionResult(
-                True,
-                FormWitness(
-                    w.element,
-                    conj,
-                    "orbit",
-                    w.n,
-                    w.k,
-                    w.x1,
-                    w.a_factors,
-                    w.b_factors,
-                    w.l,
-                    w.y1,
-                ),
-            )
+        yield z, cum, "orbit"
         cum = st.nf_right_multiply(cum, initial_factor(z))
         z = cycling(z)
         if z == xt:
-            return RecognitionResult(False)
-
-
-def recognize_standard(
-    x: BraidWord | NormalForm,
-    q: RecognitionQuery,
-    max_sc: int = DEFAULT_MAX_SC,
-    max_orbit: int = DEFAULT_MAX_ORBIT,
-) -> RecognitionResult:
-    """Decide membership for the standard structure.
-
-    As in the dual case, except that two-class queries with negative summit
-    inf must search the entire sliding-circuits set, not just one orbit.
-    """
-    if q.structure.kind is not StructureKind.STANDARD:
-        raise ValueError("query is not over the standard structure")
-    st = structure_for(q.structure)
-    x_nf = _as_nf(x, st)
-    if q.y is None:
-        w = match_power_form(x_nf, q)
-        return RecognitionResult(w is not None, w)
-
-    xt, c = slide_to_circuit(x_nf, max_orbit)
-    if xt.p >= 0:
-        return _conjugacy_branch(xt, c, q, max_sc, max_orbit)
-    if summit_length_filter(xt, q) is False:
-        return RecognitionResult(False)
-    sc = sliding_circuits(xt, max_sc, max_orbit)
-    for z, wz in sc.elements.items():
-        w = match_product_form(z, q)
-        if w is not None:
-            conj = st.nf_multiply(c, wz)
-            return RecognitionResult(
-                True,
-                FormWitness(
-                    w.element,
-                    conj,
-                    "sc",
-                    w.n,
-                    w.k,
-                    w.x1,
-                    w.a_factors,
-                    w.b_factors,
-                    w.l,
-                    w.y1,
-                ),
-            )
-    return RecognitionResult(False)
+            return
 
 
 def recognize(
@@ -472,6 +367,29 @@ def recognize(
     max_sc: int = DEFAULT_MAX_SC,
     max_orbit: int = DEFAULT_MAX_ORBIT,
 ) -> RecognitionResult:
-    if q.structure.kind is StructureKind.DUAL:
-        return recognize_dual(x, q, max_sc, max_orbit)
-    return recognize_standard(x, q, max_sc, max_orbit)
+    """Decide membership of x in the class or class product of the query.
+
+    Single-class queries read the answer off the normal form of the input.
+    Two-class queries slide to a circuit, handle the positive case by direct
+    conjugacy tests, and otherwise pattern-match the summit conjugates.
+    """
+    st = structure_for(q.structure)
+    if not isinstance(x, NormalForm):
+        x = st.nf_from_word(x)
+    elif x.structure.ident != q.structure:
+        raise ValueError("element and query are over different structures")
+    if q.y is None:
+        w = match_power_form(x, q)
+        return RecognitionResult(w is not None, w)
+
+    xt, c = slide_to_circuit(x, max_orbit)
+    if xt.p >= 0:
+        return _conjugacy_branch(xt, c, q, max_sc, max_orbit)
+    if summit_length_filter(xt, q) is False:
+        return RecognitionResult(False)
+    for z, wz, location in _summit_conjugates(xt, max_sc, max_orbit):
+        w = match_product_form(z, q)
+        if w is not None:
+            conj = st.nf_multiply(c, wz)
+            return RecognitionResult(True, replace(w, conjugator=conj, location=location))
+    return RecognitionResult(False)

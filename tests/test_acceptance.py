@@ -23,8 +23,6 @@ from braidqp import (
     qp3,
     qp_half_twist_power,
     recognize,
-    recognize_dual,
-    recognize_standard,
     slide_to_circuit,
     sliding_circuits,
     summit_length_filter,
@@ -100,7 +98,7 @@ def test_criterion_4_reference_witness():
     st = dual_structure(4)
     x = st.nf_from_word(parse_word("D^-1 b a 1 3 2", st.ident))
     s1 = st.ident.atom_index_of_artin(1)
-    res = recognize_dual(x, RecognitionQuery(st.ident, s1, 1, s1, 1))
+    res = recognize(x, RecognitionQuery(st.ident, s1, 1, s1, 1))
     assert res.verdict and res.witness is not None
     w = res.witness
     assert w.n == 1
@@ -145,11 +143,11 @@ def test_criterion_6_cross_engine_oracle():
                 dual_letters = tuple((s_dual[i], s) for i, s in combo)
                 y = dt.nf_from_word(BraidWord(dt.ident, 0, dual_letters))
                 if e == 1:
-                    r_std = recognize_standard(x, q1_std).verdict
-                    r_dual = recognize_dual(y, q1_dual).verdict
+                    r_std = recognize(x, q1_std).verdict
+                    r_dual = recognize(y, q1_dual).verdict
                 else:
-                    r_std = recognize_standard(x, q2_std).verdict
-                    r_dual = recognize_dual(y, q2_dual).verdict
+                    r_std = recognize(x, q2_std).verdict
+                    r_dual = recognize(y, q2_dual).verdict
                 cache[key] = (qp, r_std, r_dual)
             qp, r_std, r_dual = cache[key]
             assert qp == r_std == r_dual, (combo, qp, r_std, r_dual)

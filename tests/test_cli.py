@@ -138,8 +138,35 @@ def test_env_var_cap_override(capsys, monkeypatch):
 
 
 def test_threads_flag(capsys):
-    code, data, _ = run_json(
-        capsys, "sc", "-n", "4", "--structure", "dual", "--threads", "2",
-        "D^-1 b a 1 2 a b",
-    )
-    assert code == 0 and data["sc_size"] == 24
+    # the thread pool is gone: the flag is now an unknown option
+    with pytest.raises(SystemExit) as exc:
+        main(["sc", "-n", "4", "--structure", "dual", "--threads", "2", "D^-1 b a 1 2 a b"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def test_standard_single_class_with_positive_inf(capsys):
+    code, data, _ = run_json(capsys, "recognize", "-n", "3", "D", "-x", "1", "-k", "3")
+    assert code == 0 and data["verdict"] is False
+
+
+@pytest.mark.parametrize("command", ["invariants", "orbit"])
+def test_large_garside_power(capsys, command):
+    code, data, _ = run_json(capsys, command, "-n", "4", "D^-3000 1")
+    assert code == 0
+    if command == "invariants":
+        assert (data["inf_s"], data["ell_s"], data["sup_s"]) == (-3000, 1, -2999)
+
+
+def test_strand_bound_exits_2(capsys):
+    code, _, err = run(capsys, "nf", "-n", "65", "1")
+    assert code == 2 and "64" in err
+
+
+def test_recursion_error_exits_3(capsys, monkeypatch):
+    def overflow(args, report):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("braidqp.cli._cmd_nf", overflow)
+    code, out, err = run(capsys, "nf", "-n", "3", "1")
+    assert code == 3 and err.startswith("error:") and "Traceback" not in err

@@ -15,8 +15,6 @@ from braidqp import (
     parse_word,
     rebuild_witness,
     recognize,
-    recognize_dual,
-    recognize_standard,
     slide_to_circuit,
     structure_for,
     summit_length_filter,
@@ -33,7 +31,7 @@ def _conjugated_power(st, rng, atom_idx, k, conj_len=3):
     return st.nf_conjugate(x, c)
 
 
-def test_query_validation(std3):
+def test_query_validation(std3, dual3):
     ident = std3.ident
     with pytest.raises(ValueError):
         RecognitionQuery(ident, 0, 0)
@@ -44,7 +42,7 @@ def test_query_validation(std3):
     with pytest.raises(ValueError):
         RecognitionQuery(ident, 5, 1)
     with pytest.raises(ValueError):
-        recognize_dual(std3.nf(0), RecognitionQuery(ident, 0, 1))
+        recognize(std3.nf(0), RecognitionQuery(dual3.ident, 0, 1))
     dual_ident = structure_for(ident).ident  # same structure, sanity
     assert dual_ident == ident
 
@@ -74,7 +72,7 @@ def test_single_class_membership(which, request):
         assert recognize(x, RecognitionQuery(st.ident, other, k)).verdict
 
 
-@pytest.mark.parametrize("which", ["std3", "dual4"])
+@pytest.mark.parametrize("which", ["std3", "std4", "dual4"])
 def test_single_class_rejections(which, request):
     st = request.getfixturevalue(which)
     w = lambda t: st.nf_from_word(parse_word(t, st.ident))
@@ -84,6 +82,10 @@ def test_single_class_rejections(which, request):
     assert not recognize(w("1 2"), RecognitionQuery(st.ident, 0, 2)).verdict
     # inverse powers are not in the positive class
     assert not recognize(w("-1"), RecognitionQuery(st.ident, 0, 1)).verdict
+    # inf >= 1 rules out a conjugate of an atom power
+    assert not recognize(w("D"), RecognitionQuery(st.ident, 0, 3)).verdict
+    top = st.ident.strands - 1  # "D^2 -3" on four strands
+    assert not recognize(w(f"D^2 -{top}"), RecognitionQuery(st.ident, 0, 4)).verdict
 
 
 @pytest.mark.parametrize("which", ["std3", "std4", "dual3", "dual4"])
@@ -172,13 +174,18 @@ def test_recognize_dispatch_and_structure_guards(std3, dual3):
     q_std = RecognitionQuery(std3.ident, 0, 1)
     q_dual = RecognitionQuery(dual3.ident, 0, 1)
     with pytest.raises(ValueError):
-        recognize_standard(dual3.nf(0), q_dual)
+        recognize(dual3.nf(0), q_std)
     with pytest.raises(ValueError):
-        recognize_dual(std3.nf(0), q_std)
+        recognize(std3.nf(0), q_dual)
     x = std3.nf_from_word(parse_word("1", std3.ident))
     assert recognize(x, q_std).verdict
     y = dual3.nf_from_word(parse_word("1", dual3.ident))
     assert recognize(y, q_dual).verdict
+    # a normal form of the other structure is refused, not answered
+    with pytest.raises(ValueError):
+        recognize(x, q_dual)
+    with pytest.raises(ValueError):
+        recognize(y, q_std)
 
 
 def test_standard_small_product_example(std3):
@@ -195,7 +202,7 @@ def test_dual_matcher_location_reporting(dual4):
     st = dual4
     x = st.nf_from_word(parse_word("D^-1 b a 1 3 2", st.ident))
     q = RecognitionQuery(st.ident, st.ident.atom_index_of_artin(1), 1, 0, 1)
-    res = recognize_dual(x, q)
+    res = recognize(x, q)
     assert res.verdict and res.witness is not None
     assert res.witness.location in ("input", "orbit")
     xt, _ = slide_to_circuit(x)
