@@ -7,6 +7,13 @@ class is the sliding-circuits set, a finite conjugacy invariant.  It is closed
 and connected under conjugation by minimal simple elements, which is how the
 whole set is enumerated from one representative.  Every routine that conjugates
 keeps a witness so membership answers come with an explicit conjugator.
+
+Each arrow of the enumeration is a minimal simple conjugator above an atom.
+The simples above an atom that keep an element inside the sliding-circuits set
+are closed under meets (Gebhardt and Gonzalez-Meneses, "The cyclic sliding
+operation in Garside groups", Math. Z. 2010), so the first one met in norm order
+is the minimal one; candidates whose conjugate leaves the summit inf and sup
+are skipped before any sliding.
 """
 
 from __future__ import annotations
@@ -175,19 +182,26 @@ def min_sc_conjugator(
 ) -> Simple:
     """Least simple s above the given atom with y^s back in sliding circuits.
 
-    y must itself lie in its sliding-circuits set; the Garside element always
-    works, so the meet of all working simples is well defined (and itself
-    works, by the convexity of the conjugator set).
+    y must itself lie in its sliding-circuits set.  The simples above the atom
+    that conjugate y back into the set are closed under meets (Gebhardt and
+    Gonzalez-Meneses, Math. Z. 2010), so they have a least element, which
+    divides every other one and hence has the smallest norm among them: the
+    first working simple in (norm, payload) order is that least element.
+    Every element of the set has the summit inf and sup, so a conjugate with
+    another inf or canonical length is rejected without sliding it.  The
+    Garside element always works and is the fallback.
     """
     st = y.structure
     a = st.atoms[atom]
-    best = st.delta
     for s in st.all_simples:
-        if s == st.identity or not st.is_prefix(a, s):
+        if not st.is_prefix(a, s):
             continue
-        if in_sliding_circuit(st.nf_conjugate_by_simple(y, s), max_orbit):
-            best = st.meet(best, s)
-    return best
+        z = st.nf_conjugate_by_simple(y, s)
+        if z.p != y.p or len(z.factors) != len(y.factors):
+            continue
+        if in_sliding_circuit(z, max_orbit):
+            return s
+    return st.delta
 
 
 @dataclass(frozen=True)
@@ -267,18 +281,29 @@ def are_conjugate(
     max_sc: int = DEFAULT_MAX_SC,
     max_orbit: int = DEFAULT_MAX_ORBIT,
 ) -> tuple[bool, NormalForm | None]:
-    """Decide conjugacy; on success also return c with c^{-1} x c = y."""
+    """Decide conjugacy; on success also return c with c^{-1} x c = y.
+
+    Both elements are slid to a circuit first.  Different summit (inf, sup)
+    decide NO and equal circuit elements decide YES; only otherwise is the
+    sliding-circuits set of x enumerated, starting from the circuit element
+    already found.
+    """
     st = x.structure
     if y.structure is not st:
         raise ValueError("elements live over different structures")
     if st.nf_algebraic_length(x) != st.nf_algebraic_length(y):
         return False, None
-    sc = sliding_circuits(x, max_sc, max_orbit)
-    rep, wy = slide_to_circuit(y, max_orbit)
-    if rep not in sc.elements:
+    rx, wx = slide_to_circuit(x, max_orbit)
+    ry, wy = slide_to_circuit(y, max_orbit)
+    if (rx.inf, rx.sup) != (ry.inf, ry.sup):
         return False, None
-    c = st.nf_multiply(sc.elements[rep], st.nf_inverse(wy))
-    return True, c
+    if rx != ry:
+        # rx lies on its circuit, so its set carries witnesses from rx itself
+        sc = sliding_circuits(rx, max_sc, max_orbit)
+        if ry not in sc.elements:
+            return False, None
+        wx = st.nf_multiply(wx, sc.elements[ry])
+    return True, st.nf_multiply(wx, st.nf_inverse(wy))
 
 
 def summit_inf_sup(x: NormalForm, max_orbit: int = DEFAULT_MAX_ORBIT) -> tuple[int, int]:

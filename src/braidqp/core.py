@@ -295,7 +295,14 @@ class GarsideStructure(ABC):
         return self.nf_multiply(self.nf_multiply(self.nf_inverse(c), x), c)
 
     def nf_conjugate_by_simple(self, x: NormalForm, s: Simple) -> NormalForm:
-        return self.nf_conjugate(x, self.nf_of_simple(s))
+        """s^{-1} x s in two sliding passes, one on each side of x.
+
+        s^{-1} = Delta^{-1} tau^{-1}(complement(s)): multiply x on the left by
+        the twisted complement, lower the Garside power by one, then multiply
+        on the right by s.
+        """
+        y = self.nf_left_multiply(self.tau(self.complement(s), -1), x)
+        return self.nf_right_multiply(self.nf(y.p - 1, y.factors), s)
 
     def nf_from_word(self, word: BraidWord) -> NormalForm:
         if word.structure != self.ident:

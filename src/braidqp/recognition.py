@@ -155,11 +155,17 @@ def match_power_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | None:
     Dual: g^{-n} . A_n ... A_1 . x1^k . B_1 ... B_n (n >= 0).
     Standard: either x1^k, or the same shape with the x-run shortened to
     k-1 copies and x1 folded into B_1, plus x1 being a suffix of A_1.
+    On two strands, in both structures, the shape is Delta^k itself.
     """
     st = xt.structure
     k = q.k
     n = -xt.p
     identity_conj = st.nf(0)
+    if st.ident.strands == 2:
+        # the atom is the central Garside element: x1^k is its own class
+        if xt.p != k or xt.factors:
+            return None
+        return FormWitness(xt, identity_conj, "input", 0, k, st.atoms[0], (), ())
     if n < 0:
         return None  # inf >= 1: no conjugate of an atom power has that form
     if n == 0:
@@ -369,15 +375,19 @@ def recognize(
 ) -> RecognitionResult:
     """Decide membership of x in the class or class product of the query.
 
-    Single-class queries read the answer off the normal form of the input.
-    Two-class queries slide to a circuit, handle the positive case by direct
-    conjugacy tests, and otherwise pattern-match the summit conjugates.
+    An algebraic length other than k (+ l) is NO at once.  Single-class
+    queries read the answer off the normal form of the input.  Two-class
+    queries slide to a circuit, handle the positive case by direct conjugacy
+    tests, and otherwise pattern-match the summit conjugates.
     """
     st = structure_for(q.structure)
     if not isinstance(x, NormalForm):
         x = st.nf_from_word(x)
     elif x.structure.ident != q.structure:
         raise ValueError("element and query are over different structures")
+    # atoms have norm 1 and conjugation keeps the algebraic length
+    if st.nf_algebraic_length(x) != q.k + (q.l or 0):
+        return RecognitionResult(False)
     if q.y is None:
         w = match_power_form(x, q)
         return RecognitionResult(w is not None, w)

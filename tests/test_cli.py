@@ -170,3 +170,12 @@ def test_recursion_error_exits_3(capsys, monkeypatch):
     monkeypatch.setattr("braidqp.cli._cmd_nf", overflow)
     code, out, err = run(capsys, "nf", "-n", "3", "1")
     assert code == 3 and err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("structure", ["standard", "dual"])
+def test_two_strand_recognize(capsys, structure):
+    args = ("recognize", "-n", "2", "--structure", structure)
+    code, data, _ = run_json(capsys, *args, "1 1 1", "-x", "1", "-k", "3", "--verify")
+    assert code == 0 and data["verdict"] is True and data["witness_verified"] is True
+    code, data, _ = run_json(capsys, *args, "1 1", "-x", "1", "-k", "3")
+    assert code == 0 and data["verdict"] is False

@@ -9,6 +9,7 @@ import pytest
 from braidqp import (
     ResourceCapExceeded,
     are_conjugate,
+    artin_structure,
     cycling,
     cycling_orbit,
     cycling_transport,
@@ -163,9 +164,25 @@ def test_slide_to_circuit_conjugator(std4, dual4):
             assert (inf_s, sup_s) == (z.inf, z.sup)
 
 
-def test_min_sc_conjugator_minimality(std3, dual4):
+def _meet_of_working(y, atom_idx):
+    """Oracle: the meet of every simple above the atom that keeps y in SC."""
+    st = y.structure
+    atom = st.atoms[atom_idx]
+    working = [
+        t
+        for t in st.all_simples
+        if st.is_prefix(atom, t)
+        and in_sliding_circuit(st.nf_conjugate(y, st.nf_of_simple(t)))
+    ]
+    out = working[0]
+    for t in working[1:]:
+        out = st.meet(out, t)
+    return out
+
+
+def test_min_sc_conjugator_minimality(std3, std4, dual4, dual5):
     rng = random.Random(83)
-    for st in (std3, dual4):
+    for st in (std3, std4, dual4, dual5):
         for _ in range(6):
             y, _ = slide_to_circuit(random_nf(rng, st, rng.randrange(1, 6)))
             for atom_idx, atom in enumerate(st.atoms):
@@ -178,19 +195,24 @@ def test_min_sc_conjugator_minimality(std3, dual4):
                         continue
                     if in_sliding_circuit(st.nf_conjugate_by_simple(y, t)):
                         assert st.is_prefix(s, t) or not st.is_prefix(t, s)
-                # the meet of any two working conjugators works
-                working = [
-                    t
-                    for t in st.all_simples
-                    if t != st.identity
-                    and st.is_prefix(atom, t)
-                    and in_sliding_circuit(st.nf_conjugate_by_simple(y, t))
-                ]
-                meet_all = working[0]
-                for t in working[1:]:
-                    meet_all = st.meet(meet_all, t)
+                # the meet of all working conjugators is s, and it works
+                meet_all = _meet_of_working(y, atom_idx)
                 assert meet_all == s
                 assert in_sliding_circuit(st.nf_conjugate_by_simple(y, meet_all))
+
+
+def test_min_sc_conjugator_matches_meet_oracle_on_whole_sc():
+    rng = random.Random(87)
+    for n in (3, 4, 5):
+        for make in (artin_structure, dual_structure):
+            st = make(n)
+            for _ in range(2):
+                x = random_nf(rng, st, rng.randrange(2, 7 - n // 2))
+                for y in sliding_circuits(x).elements:
+                    for atom_idx in range(len(st.atoms)):
+                        assert min_sc_conjugator(y, atom_idx) == _meet_of_working(
+                            y, atom_idx
+                        )
 
 
 def test_transport_identities(std4, dual4):
@@ -265,6 +287,9 @@ def test_are_conjugate(std3):
         ok, c = are_conjugate(x, y)
         assert ok
         assert st.nf_conjugate(x, c) == y
+        # the conjugator read off the whole set of x, as without short cuts
+        ry, wy = slide_to_circuit(y)
+        assert c == st.nf_multiply(sliding_circuits(x).elements[ry], st.nf_inverse(wy))
 
 
 def test_zero_length_errors_and_fixed_points(std3):

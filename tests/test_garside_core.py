@@ -130,6 +130,21 @@ def test_inverse_and_multiply(which, request):
         assert st.nf_inverse(st.nf(p)) == st.nf(-p)
 
 
+@pytest.mark.parametrize("which", ["std3", "std4", "dual3", "dual4", "dual5"])
+def test_conjugate_by_simple_matches_general_conjugation(which, request):
+    st = request.getfixturevalue(which)
+    rng = random.Random(37)
+    xs = [st.nf(p) for p in (0, 1, -1, -2, 3)]
+    xs += [random_nf(rng, st, rng.randrange(1, 9)) for _ in range(10)]
+    assert sum(x.p < 0 and bool(x.factors) for x in xs) >= 3
+    assert {st.identity, st.delta} <= set(st.all_simples)
+    for x in xs:
+        for s in st.all_simples:
+            y = st.nf_conjugate_by_simple(x, s)
+            st.nf_validate(y)
+            assert y == st.nf_conjugate(x, st.nf_of_simple(s))
+
+
 @pytest.mark.parametrize("which", ["std4", "dual4"])
 def test_algebraic_length_is_a_homomorphism(which, request):
     st = request.getfixturevalue(which)

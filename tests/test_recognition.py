@@ -9,7 +9,9 @@ import pytest
 from braidqp import (
     RecognitionQuery,
     StructureKind,
+    artin_structure,
     conjugate_atoms,
+    dual_structure,
     match_power_form,
     match_product_form,
     parse_word,
@@ -207,3 +209,25 @@ def test_dual_matcher_location_reporting(dual4):
     assert res.witness.location in ("input", "orbit")
     xt, _ = slide_to_circuit(x)
     assert xt == x  # rigid: the input is its own circuit representative
+
+
+@pytest.mark.parametrize("make", [artin_structure, dual_structure])
+def test_two_strand_atom_powers(make):
+    # on two strands the atom is the Garside element
+    st = make(2)
+    w = lambda t: st.nf_from_word(parse_word(t, st.ident))
+    x = w("1 1 1")
+    res = recognize(x, RecognitionQuery(st.ident, 0, 3))
+    assert res.verdict
+    assert (res.witness.location, res.witness.n, res.witness.x1) == ("input", 0, st.atoms[0])
+    assert verify_witness(x, res.witness)
+    assert not recognize(w("1 1"), RecognitionQuery(st.ident, 0, 3)).verdict
+
+
+@pytest.mark.parametrize("which", ["std3", "dual3"])
+def test_algebraic_length_decides_no_first(which, request):
+    # x1^20000 y1 is never built: the algebraic lengths 2 and 20001 differ
+    st = request.getfixturevalue(which)
+    x = st.nf_from_word(parse_word("1 2", st.ident))
+    assert not recognize(x, RecognitionQuery(st.ident, 0, 20000, 0, 1)).verdict
+    assert not recognize(x, RecognitionQuery(st.ident, 0, 20000)).verdict
