@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 
-from .core import GarsideStructure, Simple
+from .core import GarsideStructure, Simple, inverse_perm, mult
 from .words import StructureId, StructureKind
 
 
@@ -47,18 +47,26 @@ class ArtinStructure(GarsideStructure):
         # Descent criterion, verified against brute-force divisor enumeration.
         return s[atom] > s[atom + 1]
 
-    def atom_prefix_test(self, i: int, s: Simple) -> bool:
-        """Whether sigma_i (1-indexed) is a prefix of the simple s."""
-        if not 1 <= i <= self.ident.strands - 1:
-            raise ValueError(f"no generator sigma_{i} in Br_{self.ident.strands}")
-        return self.atom_prefix(i - 1, s)
+    def meet(self, a: Simple, b: Simple) -> Simple:
+        """Meet of two permutation braids in the weak order.
 
-    def simple_product_if_simple(self, a: Simple, b: Simple) -> Simple | None:
-        """a*b when the product is again simple (inversion counts add)."""
-        ab = tuple(b[x] for x in a)
-        if self.norm(ab) == self.norm(a) + self.norm(b):
-            return ab
-        return None
+        An atom dividing both divides the meet, and peeling it off both peels
+        it off the meet (Thurston, in Epstein et al., "Word Processing in
+        Groups", ch. 9).  sigma_i divides iff there is a descent at i, and
+        peeling it swaps positions i and i+1: a bubble sort of the common
+        descents, stepping back after each swap.  If a' is what is left of a,
+        the meet is a a'^{-1}.
+        """
+        p, q = list(a), list(b)
+        j, last = 0, len(p) - 1
+        while j < last:
+            if p[j] > p[j + 1] and q[j] > q[j + 1]:
+                p[j], p[j + 1] = p[j + 1], p[j]
+                q[j], q[j + 1] = q[j + 1], q[j]
+                j = max(j - 1, 0)
+            else:
+                j += 1
+        return mult(a, inverse_perm(p))
 
 
 @functools.cache

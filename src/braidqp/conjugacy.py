@@ -19,6 +19,7 @@ are skipped before any sliding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .core import GarsideStructure, NormalForm, Simple
 
@@ -156,15 +157,6 @@ def _orbit(x, step, max_orbit, what):
 # ----- transports -------------------------------------------------------
 
 
-def cycling_transport(y: NormalForm, u: NormalForm) -> NormalForm:
-    """Conjugator u transported along one cycling step on both sides."""
-    st = y.structure
-    yu = st.nf_conjugate(y, u)
-    t = st.nf_inverse(st.nf_of_simple(initial_factor(y)))
-    t = st.nf_multiply(t, u)
-    return st.nf_right_multiply(t, initial_factor(yu))
-
-
 def sliding_transport(y: NormalForm, u: NormalForm) -> NormalForm:
     """Conjugator u transported along one cyclic-sliding step on both sides."""
     st = y.structure
@@ -187,21 +179,37 @@ def min_sc_conjugator(
     Gonzalez-Meneses, Math. Z. 2010), so they have a least element, which
     divides every other one and hence has the smallest norm among them: the
     first working simple in (norm, payload) order is that least element.
-    Every element of the set has the summit inf and sup, so a conjugate with
-    another inf or canonical length is rejected without sliding it.  The
-    Garside element always works and is the fallback.
+    """
+    return _min_sc_conjugators(y, (atom,), max_orbit)[0]
+
+
+def _min_sc_conjugators(
+    y: NormalForm, atoms: Sequence[int], max_orbit: int
+) -> list[Simple]:
+    """min_sc_conjugator for each atom, in order, testing each simple once.
+
+    A simple is tested only if it lies above an atom still without one, and a
+    working simple answers every such atom.  A conjugate off the summit inf
+    and sup is rejected without sliding.  The last simple, the Garside
+    element, always works (it commutes with sliding), so it is not tested.
     """
     st = y.structure
-    a = st.atoms[atom]
-    for s in st.all_simples:
-        if not st.is_prefix(a, s):
+    found: dict[int, Simple] = {}
+    pending = list(atoms)
+    for s in st.all_simples[:-1]:
+        above = [i for i in pending if st.atom_prefix(i, s)]
+        if not above:
             continue
         z = st.nf_conjugate_by_simple(y, s)
         if z.p != y.p or len(z.factors) != len(y.factors):
             continue
         if in_sliding_circuit(z, max_orbit):
-            return s
-    return st.delta
+            for i in above:
+                found[i] = s
+            pending = [i for i in pending if i not in found]
+            if not pending:
+                break
+    return [found.get(i, st.delta) for i in atoms]
 
 
 @dataclass(frozen=True)
@@ -245,7 +253,7 @@ def sliding_circuits(
     while frontier:
         y = frontier.pop()
         wy = sc.elements[y]
-        minima = {min_sc_conjugator(y, a, max_orbit) for a in range(len(st.atoms))}
+        minima = set(_min_sc_conjugators(y, range(len(st.atoms)), max_orbit))
         candidates = sorted(minima, key=st.norm)
         # keep only the divisibility-minimal candidates
         arrows = [
@@ -305,8 +313,3 @@ def are_conjugate(
         wx = st.nf_multiply(wx, sc.elements[ry])
     return True, st.nf_multiply(wx, st.nf_inverse(wy))
 
-
-def summit_inf_sup(x: NormalForm, max_orbit: int = DEFAULT_MAX_ORBIT) -> tuple[int, int]:
-    """(inf, sup) over the sliding-circuits set, i.e. the summit values."""
-    rep, _ = slide_to_circuit(x, max_orbit)
-    return rep.inf, rep.sup

@@ -41,8 +41,10 @@ class GarsideStructure(ABC):
     Concrete subclasses supply the atom list, the Garside element, the letter
     length of simples and the membership test for simple payloads; everything
     else (divisibility, lattice operations, complements, normal forms) is
-    derived here.  All operations are pure and memoized, so instances are
-    safe to share between threads.
+    derived here.  All operations are pure, so instances are safe to share
+    between threads.  ``meet`` is a closed form in each structure with no
+    memo; the other hot primitives keep unbounded memos over simples, because
+    bounding them slowed the sliding-circuit searches more than it saved.
     """
 
     ident: StructureId
@@ -55,7 +57,6 @@ class GarsideStructure(ABC):
         self.atoms: tuple[Simple, ...] = self._make_atoms()
         self.atom_index: dict[Simple, int] = {a: i for i, a in enumerate(self.atoms)}
         # Memoize the hot primitives; the simple sets are small.
-        self.meet = functools.lru_cache(maxsize=None)(self._meet)
         self.local_sliding = functools.lru_cache(maxsize=None)(self._local_sliding)
         self.complement = functools.lru_cache(maxsize=None)(self._complement)
         self.complement_inv = functools.lru_cache(maxsize=None)(self._complement_inv)
@@ -82,6 +83,10 @@ class GarsideStructure(ABC):
     def atom_prefix(self, atom: int, s: Simple) -> bool:
         """Whether atom number ``atom`` is a prefix of ``s``."""
 
+    @abstractmethod
+    def meet(self, a: Simple, b: Simple) -> Simple:
+        """Greatest common prefix of two simples."""
+
     # ----- divisibility and lattice operations --------------------------
 
     def _is_prefix(self, a: Simple, b: Simple) -> bool:
@@ -104,37 +109,6 @@ class GarsideStructure(ABC):
 
     def atom_suffix(self, atom: int, s: Simple) -> bool:
         return self.is_suffix(self.atoms[atom], s)
-
-    def _meet(self, a: Simple, b: Simple) -> Simple:
-        # Greedy peel: any atom dividing both divides the meet, and peeling
-        # it from both arguments peels it from the meet.
-        out = self.identity
-        changed = True
-        while changed:
-            changed = False
-            for i, atom in enumerate(self.atoms):
-                if self.atom_prefix(i, a) and self.atom_prefix(i, b):
-                    a = self.left_quotient(atom, a)
-                    b = self.left_quotient(atom, b)
-                    out = mult(out, atom)
-                    changed = True
-                    break
-        return out
-
-    def meet_right(self, a: Simple, b: Simple) -> Simple:
-        """Greatest common divisor for the right (suffix) divisibility order."""
-        out = self.identity
-        changed = True
-        while changed:
-            changed = False
-            for i, atom in enumerate(self.atoms):
-                if self.atom_suffix(i, a) and self.atom_suffix(i, b):
-                    a = self.right_quotient(a, atom)
-                    b = self.right_quotient(b, atom)
-                    out = mult(atom, out)
-                    changed = True
-                    break
-        return out
 
     @functools.cached_property
     def all_simples(self) -> tuple[Simple, ...]:
@@ -376,9 +350,6 @@ class NormalForm:
 
     def is_identity(self) -> bool:
         return self.p == 0 and not self.factors
-
-    def is_positive(self) -> bool:
-        return self.p >= 0
 
     def __repr__(self) -> str:
         kind = self.structure.ident.kind.value

@@ -55,7 +55,10 @@ def is_noncrossing_ascending(s: Simple) -> bool:
 
 class DualStructure(GarsideStructure):
     def __init__(self, n: int) -> None:
-        super().__init__(StructureId(n, StructureKind.DUAL))
+        ident = StructureId(n, StructureKind.DUAL)
+        # 0-indexed strand pairs of the atoms, in atom order
+        self._bands = tuple((t - 1, s - 1) for t, s in ident.atom_pairs())
+        super().__init__(ident)
 
     def _make_delta(self) -> Simple:
         n = self.ident.strands
@@ -64,9 +67,9 @@ class DualStructure(GarsideStructure):
     def _make_atoms(self) -> tuple[Simple, ...]:
         n = self.ident.strands
         atoms = []
-        for t, s in self.ident.atom_pairs():
+        for t, s in self._bands:
             a = list(range(n))
-            a[t - 1], a[s - 1] = a[s - 1], a[t - 1]
+            a[t], a[s] = a[s], a[t]
             atoms.append(tuple(a))
         return tuple(atoms)
 
@@ -82,12 +85,31 @@ class DualStructure(GarsideStructure):
         return is_noncrossing_ascending(s)
 
     def atom_prefix(self, atom: int, s: Simple) -> bool:
-        t, u = self.ident.atom_pairs()[atom]
-        return self._same_cycle(s, t - 1, u - 1)
+        t, u = self._bands[atom]
+        return self._same_cycle(s, t, u)
 
-    def nc_atom_prefix_test(self, t: int, u: int, s: Simple) -> bool:
-        """Whether the band a_{tu} is a prefix of the simple s."""
-        return self.atom_prefix(self.ident.atom_index_of_band(t, u), s)
+    def meet(self, a: Simple, b: Simple) -> Simple:
+        """Meet of two simples: the common refinement of their partitions.
+
+        Divisibility is refinement of non-crossing partitions, and the common
+        refinement of two of them is non-crossing (Birman, Ko and Lee, Adv.
+        Math. 1998).  Its blocks are the intersections of an a-block with a
+        b-block: i maps to the next element on its a-cycle in its b-block.
+        """
+        n = len(a)
+        block = [-1] * n
+        for i in range(n):
+            j = i
+            while block[j] < 0:
+                block[j] = i
+                j = b[j]
+        out = []
+        for i in range(n):
+            j = a[i]
+            while block[j] != block[i]:
+                j = a[j]
+            out.append(j)
+        return tuple(out)
 
     @staticmethod
     def _same_cycle(s: Simple, i: int, j: int) -> bool:

@@ -4,13 +4,13 @@ Decides whether a braid lies in (x^k)^G (a single class of k-th powers of an
 atom) or in the product (x^k)^G (y^l)^G, for either Garside structure.  The
 single-class question is answered by pattern-matching the left normal form of
 the element itself; the two-class question slides the element to a sliding
-circuit and then either tests conjugacy to an explicit product of atom powers
-(when the summit elements are positive) or searches for a conjugate whose
-normal form exhibits the product shape.  Both structures share this one
-pipeline and differ only in the search space: for the dual structure one
-cycling orbit suffices, for the standard structure the whole sliding-circuits
-set is searched.  Every YES comes with a witness that re-multiplies to the
-input.
+circuit.  A positive circuit element spells two atoms (k = l = 1) or is tested
+for conjugacy to explicit atom-power products; otherwise a conjugate whose
+normal form exhibits the product shape is searched for.  Both structures share
+this one pipeline and differ only in the search space: for the dual structure
+one cycling orbit suffices, for the standard structure the whole
+sliding-circuits set is searched.  Every YES comes with a witness that
+re-multiplies to the input.
 """
 
 from __future__ import annotations
@@ -79,13 +79,6 @@ class FormWitness:
 class RecognitionResult:
     verdict: bool
     witness: FormWitness | None = None
-
-
-def conjugate_atoms(x: int, structure: StructureId) -> frozenset[int]:
-    """The atoms conjugate to atom x: all of them, in both structures."""
-    if not 0 <= x < structure.num_atoms:
-        raise ValueError(f"atom index {x} out of range")
-    return frozenset(range(structure.num_atoms))
 
 
 def structure_for(ident: StructureId) -> GarsideStructure:
@@ -377,8 +370,10 @@ def recognize(
 
     An algebraic length other than k (+ l) is NO at once.  Single-class
     queries read the answer off the normal form of the input.  Two-class
-    queries slide to a circuit, handle the positive case by direct conjugacy
-    tests, and otherwise pattern-match the summit conjugates.
+    queries slide to a circuit.  A positive circuit element answers YES at
+    once when k = l = 1 (it spells a product of two atoms) and is otherwise
+    tested for conjugacy to explicit atom-power products; a negative one has
+    its summit conjugates pattern-matched.
     """
     st = structure_for(q.structure)
     if not isinstance(x, NormalForm):
@@ -394,6 +389,13 @@ def recognize(
 
     xt, c = slide_to_circuit(x, max_orbit)
     if xt.p >= 0:
+        if q.k == q.l == 1:
+            # positive of algebraic length 2: a product a b of two atoms, and
+            # every atom is conjugate to every other one
+            simples = (st.delta,) * xt.p + xt.factors
+            a, b = (st.atoms[i] for f in simples for i in st.spell_simple(f))
+            w = FormWitness(xt, c, "conjugacy", 0, 1, a, (), (), 1, b)
+            return RecognitionResult(True, w)
         return _conjugacy_branch(xt, c, q, max_sc, max_orbit)
     if summit_length_filter(xt, q) is False:
         return RecognitionResult(False)

@@ -62,6 +62,27 @@ def random_nf(
     return st.nf_from_word(random_word(rng, st, length, signed))
 
 
+def greedy_meet(st: GarsideStructure, a: Simple, b: Simple) -> Simple:
+    """Meet by peeling common atoms, first in atom order, until none is left.
+
+    Any atom dividing both arguments divides their meet, and peeling it off
+    both peels it off the meet; this is the structure-neutral reference for
+    the closed forms.
+    """
+    out = st.identity
+    changed = True
+    while changed:
+        changed = False
+        for i, atom in enumerate(st.atoms):
+            if st.atom_prefix(i, a) and st.atom_prefix(i, b):
+                a = st.left_quotient(atom, a)
+                b = st.left_quotient(atom, b)
+                out = mult(out, atom)
+                changed = True
+                break
+    return out
+
+
 class DivisorOracle:
     """Brute-force divisibility on simples, independent of the lattice code.
 

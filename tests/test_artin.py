@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import itertools
 
-import pytest
-
 from braidqp import BraidWord, artin_structure, mult
 
 
@@ -27,9 +25,6 @@ def test_atom_prefix_is_descent(std4):
     for s in std4.all_simples:
         for i in range(3):
             assert std4.atom_prefix(i, s) == (s[i] > s[i + 1])
-    with pytest.raises(ValueError):
-        std4.atom_prefix_test(4, std4.delta)
-    assert std4.atom_prefix_test(1, std4.delta)
 
 
 def test_norm_is_inversion_count(std4):
@@ -37,16 +32,6 @@ def test_norm_is_inversion_count(std4):
         assert std4.norm(s) == sum(
             1 for i, j in itertools.combinations(range(4), 2) if s[i] > s[j]
         )
-
-
-def test_simple_product_if_simple(std4):
-    for a in std4.all_simples:
-        for b in std4.all_simples:
-            ab = std4.simple_product_if_simple(a, b)
-            if std4.norm(a) + std4.norm(b) == std4.norm(mult(a, b)):
-                assert ab == mult(a, b)
-            else:
-                assert ab is None
 
 
 def test_starting_set_complements_left_set(std4):

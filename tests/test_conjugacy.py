@@ -12,7 +12,6 @@ from braidqp import (
     artin_structure,
     cycling,
     cycling_orbit,
-    cycling_transport,
     cyclic_sliding,
     decycling,
     decycling_orbit,
@@ -26,7 +25,6 @@ from braidqp import (
     slide_to_circuit,
     sliding_circuits,
     sliding_transport,
-    summit_inf_sup,
 )
 from conftest import random_nf
 
@@ -160,8 +158,6 @@ def test_slide_to_circuit_conjugator(std4, dual4):
             z, c = slide_to_circuit(x)
             assert in_sliding_circuit(z)
             assert st.nf_conjugate(x, c) == z
-            inf_s, sup_s = summit_inf_sup(x)
-            assert (inf_s, sup_s) == (z.inf, z.sup)
 
 
 def _meet_of_working(y, atom_idx):
@@ -215,6 +211,61 @@ def test_min_sc_conjugator_matches_meet_oracle_on_whole_sc():
                         )
 
 
+def _first_hit(y, atom_idx):
+    """Per-atom scan: the first simple above the atom, in (norm, payload)
+    order, whose conjugate of y lies in a sliding circuit."""
+    st = y.structure
+    for s in st.all_simples:
+        if st.is_prefix(st.atoms[atom_idx], s) and in_sliding_circuit(
+            st.nf_conjugate_by_simple(y, s)
+        ):
+            return s
+    return st.delta
+
+
+def _sliding_circuits_per_atom(x):
+    """The enumeration with one first-hit scan per atom and element."""
+    st = x.structure
+    rep, w0 = slide_to_circuit(x)
+    elements = {rep: w0}
+    arrows = []
+    frontier = [rep]
+    while frontier:
+        y = frontier.pop()
+        candidates = sorted(
+            {_first_hit(y, a) for a in range(len(st.atoms))}, key=st.norm
+        )
+        trivial = not y.factors
+        for c in candidates:
+            if any(d != c and st.is_prefix(d, c) for d in candidates):
+                continue
+            z = st.nf_conjugate_by_simple(y, c)
+            black = trivial or st.is_prefix(c, initial_factor(y))
+            grey = trivial or st.is_prefix(c, st.complement(final_factor(y)))
+            arrows.append((y, c, z, black, grey))
+            if z not in elements:
+                elements[z] = st.nf_right_multiply(elements[y], c)
+                frontier.append(z)
+    return elements, arrows
+
+
+def test_sliding_circuits_match_per_atom_scan():
+    rng = random.Random(91)
+    for n in (3, 4, 5):
+        # dual sets grow faster with the word length than standard ones
+        for make, lengths in ((artin_structure, (4, 10)), (dual_structure, (1, 9 - n))):
+            st = make(n)
+            for _ in range(4):
+                x = random_nf(rng, st, rng.randrange(*lengths))
+                sc = sliding_circuits(x)
+                elements, arrows = _sliding_circuits_per_atom(x)
+                assert list(sc.elements.items()) == list(elements.items())
+                assert [
+                    (a.source, a.conjugator, a.target, a.black, a.grey)
+                    for a in sc.arrows
+                ] == arrows
+
+
 def test_transport_identities(std4, dual4):
     rng = random.Random(89)
     for st in (std4, dual4):
@@ -224,8 +275,6 @@ def test_transport_identities(std4, dual4):
             yu = st.nf_conjugate(y, u)
             if not y.factors or not yu.factors:
                 continue
-            uc = cycling_transport(y, u)
-            assert st.nf_conjugate(cycling(y), uc) == cycling(yu)
             us = sliding_transport(y, u)
             assert st.nf_conjugate(cyclic_sliding(y), us) == cyclic_sliding(yu)
 

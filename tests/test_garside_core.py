@@ -7,8 +7,15 @@ import random
 
 import pytest
 
-from braidqp import BraidWord, algebraic_length, inverse_perm, mult
-from conftest import random_nf, random_word
+from braidqp import (
+    BraidWord,
+    algebraic_length,
+    artin_structure,
+    dual_structure,
+    inverse_perm,
+    mult,
+)
+from conftest import greedy_meet, random_nf, random_word
 
 
 def _positive_word(st, letters):
@@ -53,8 +60,25 @@ def test_meet_join_universal_property(which, request):
     for a in st.all_simples:
         for b in st.all_simples:
             assert st.meet(a, b) == oracle.meet(a, b)
-            assert st.meet_right(a, b) == oracle.meet_right(a, b)
             assert st.join(a, b) == oracle.join(a, b)
+
+
+@pytest.mark.parametrize(
+    "st",
+    [artin_structure(5), artin_structure(6), dual_structure(6), dual_structure(7)],
+    ids=["std5", "std6", "dual6", "dual7"],
+)
+def test_meet_matches_greedy_peel(st):
+    simples = st.all_simples
+    special = (st.identity, st.delta) + st.atoms
+    for a in special:
+        for b in simples:
+            assert st.meet(a, b) == greedy_meet(st, a, b)
+            assert st.meet(b, a) == greedy_meet(st, b, a)
+    rng = random.Random(5)
+    for _ in range(3000):
+        a, b = rng.choice(simples), rng.choice(simples)
+        assert st.meet(a, b) == greedy_meet(st, a, b)
 
 
 @pytest.mark.parametrize("which", ["std4", "dual5"])

@@ -7,10 +7,10 @@ import random
 import pytest
 
 from braidqp import (
+    BraidWord,
     RecognitionQuery,
     StructureKind,
     artin_structure,
-    conjugate_atoms,
     dual_structure,
     match_power_form,
     match_product_form,
@@ -49,13 +49,6 @@ def test_query_validation(std3, dual3):
     assert dual_ident == ident
 
 
-def test_conjugate_atoms_is_everything(std4, dual4):
-    assert conjugate_atoms(0, std4.ident) == frozenset(range(3))
-    assert conjugate_atoms(3, dual4.ident) == frozenset(range(6))
-    with pytest.raises(ValueError):
-        conjugate_atoms(9, std4.ident)
-
-
 @pytest.mark.parametrize("which", ["std3", "std4", "dual3", "dual4"])
 def test_single_class_membership(which, request):
     st = request.getfixturevalue(which)
@@ -88,6 +81,31 @@ def test_single_class_rejections(which, request):
     assert not recognize(w("D"), RecognitionQuery(st.ident, 0, 3)).verdict
     top = st.ident.strands - 1  # "D^2 -3" on four strands
     assert not recognize(w(f"D^2 -{top}"), RecognitionQuery(st.ident, 0, 4)).verdict
+
+
+@pytest.mark.parametrize("make", [artin_structure, dual_structure])
+def test_positive_summit_product_of_two_atoms(make):
+    # a conjugate of a positive length-2 braid: its circuit element spells
+    # the two atoms of the witness, with no search
+    rng = random.Random(43)
+    for n in range(2, 7):
+        st = make(n)
+        products = [
+            st.nf_from_word(BraidWord(st.ident, 0, ((i, 1), (j, 1))))
+            for i in range(len(st.atoms))
+            for j in range(len(st.atoms))
+        ]
+        for ab in rng.sample(products, min(len(products), 9)):
+            c = random_nf(rng, st, 4)
+            x = st.nf_conjugate(ab, c)
+            xa, ya = rng.randrange(len(st.atoms)), rng.randrange(len(st.atoms))
+            res = recognize(x, RecognitionQuery(st.ident, xa, 1, ya, 1))
+            assert res.verdict and res.witness is not None
+            w = res.witness
+            assert w.element == slide_to_circuit(x)[0]
+            assert (w.location, w.n, w.k, w.l) == ("conjugacy", 0, 1, 1)
+            assert w.x1 in st.atom_index and w.y1 in st.atom_index
+            assert verify_witness(x, w)
 
 
 @pytest.mark.parametrize("which", ["std3", "std4", "dual3", "dual4"])
