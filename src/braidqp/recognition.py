@@ -5,12 +5,14 @@ atom) or in the product (x^k)^G (y^l)^G, for either Garside structure.  The
 single-class question is answered by pattern-matching the left normal form of
 the element itself; the two-class question slides the element to a sliding
 circuit.  A positive circuit element spells two atoms (k = l = 1) or is tested
-for conjugacy to explicit atom-power products; otherwise a conjugate whose
-normal form exhibits the product shape is searched for.  Both structures share
-this one pipeline and differ only in the search space: for the dual structure
-one cycling orbit suffices, for the standard structure the whole
-sliding-circuits set is searched.  Every YES comes with a witness that
-re-multiplies to the input.
+for conjugacy to explicit atom-power products.  A negative one is decided in
+the dual structure, where one cycling orbit of a circuit element holds a
+conjugate whose normal form shows the product shape whenever the element lies
+in the product (Orevkov, arXiv:1406.0544): a standard query that passes the
+summit-length filter is translated to the dual structure by word, decided
+there, and its witness mapped back.  Every YES comes with a witness whose
+factors satisfy the ladder of the shape and re-multiply to a conjugate of the
+input.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .artin import artin_structure
 from .conjugacy import (
     DEFAULT_MAX_ORBIT,
     DEFAULT_MAX_SC,
+    ResourceCapExceeded,
     cycling,
     initial_factor,
     slide_to_circuit,
@@ -29,7 +32,14 @@ from .conjugacy import (
 )
 from .core import GarsideStructure, NormalForm, Simple
 from .dual import dual_structure
-from .words import BraidWord, StructureId, StructureKind
+from .words import (
+    BraidWord,
+    StructureId,
+    StructureKind,
+    band_root,
+    to_dual,
+    to_standard,
+)
 
 
 @dataclass(frozen=True)
@@ -59,13 +69,16 @@ class FormWitness:
     """A conjugate of the query element in the target shape.
 
     The element equals g^{-n} . A_n ... A_1 . x1^k . B_1 ... B_n . y1^l
-    (g the Garside element, y1 absent for single-class queries), and
-    ``conjugator`` maps the original input onto it.
+    (g the Garside element, y1 absent for single-class queries), with
+    A_i g^{i-1} B_i = g^i for every i, and ``conjugator`` maps the original
+    input onto it.  ``location`` names what found it: the input's own normal
+    form, the positive-summit branch, or the cycling-orbit walk (for a
+    standard two-class query, the walk in the dual structure).
     """
 
     element: NormalForm
     conjugator: NormalForm
-    location: str  # 'input', 'conjugacy', 'orbit' or 'sc'
+    location: str  # 'input', 'conjugacy' or 'orbit'
     n: int
     k: int
     x1: Simple
@@ -104,10 +117,13 @@ def rebuild_witness(w: FormWitness) -> NormalForm:
 
 
 def verify_witness(original: NormalForm, w: FormWitness) -> bool:
-    """Soundness check: factors re-multiply to the conjugated input."""
+    """Soundness check: the factors satisfy the ladder of the shape and
+    re-multiply to the conjugated input."""
     st = original.structure
     return (
-        rebuild_witness(w) == w.element
+        len(w.a_factors) == len(w.b_factors) == w.n
+        and _ladder_holds(st, w.a_factors, w.b_factors)
+        and rebuild_witness(w) == w.element
         and st.nf_conjugate(original, w.conjugator) == w.element
     )
 
@@ -195,81 +211,29 @@ def match_power_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | None:
 
 
 def match_product_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | None:
-    """Match the two-class shape against a left normal form (n >= 1)."""
+    """Match the dual two-class shape against a left normal form (n >= 1).
+
+    g^{-n} . A_n ... A_1 . x1^k . B_1 ... B_n . y1^l, read factor by factor.
+    Standard queries are decided in the dual structure, so only the dual
+    shape is matched.
+    """
     st = xt.structure
+    if st.ident.kind is not StructureKind.DUAL:
+        raise ValueError("the two-class shape is matched in the dual structure")
     assert q.y is not None and q.l is not None
     k, l = q.k, q.l
     n = -xt.p
-    if n < 1:
+    if n < 1 or len(xt.factors) != 2 * n + k + l:
         return None
-    identity_conj = st.nf(0)
+    x1 = _constant_atom_run(st, xt.factors[n : n + k])
+    y1 = _constant_atom_run(st, xt.factors[2 * n + k :])
+    if x1 is None or y1 is None:
+        return None
     a_factors = tuple(reversed(xt.factors[:n]))  # (A_1, ..., A_n)
-
-    if st.ident.kind is StructureKind.DUAL:
-        if len(xt.factors) != 2 * n + k + l:
-            return None
-        x1 = _constant_atom_run(st, xt.factors[n : n + k])
-        y1 = _constant_atom_run(st, xt.factors[2 * n + k :])
-        if x1 is None or y1 is None:
-            return None
-        b_factors = xt.factors[n + k : 2 * n + k]
-        if not _ladder_holds(st, a_factors, b_factors):
-            return None
-        return FormWitness(
-            xt, identity_conj, "input", n, k, x1, a_factors, b_factors, l, y1
-        )
-
-    # standard structure
-    if len(xt.factors) != 2 * n + k + l - 2:
+    b_factors = xt.factors[n + k : 2 * n + k]
+    if not _ladder_holds(st, a_factors, b_factors):
         return None
-    x_candidates = _run_candidates(st, xt.factors[n : n + k - 1])
-    y_candidates = _run_candidates(st, xt.factors[2 * n + k - 1 :])
-
-    if n == 1:
-        fused = xt.factors[k]  # the factor x1 B_1 y1
-        for x1 in x_candidates:
-            if not st.is_prefix(x1, fused):
-                continue
-            rest = st.left_quotient(x1, fused)
-            for y1 in y_candidates:
-                if not st.is_suffix(y1, rest):
-                    continue
-                b1 = st.right_quotient(rest, y1)
-                # A_1 = tau^{-1}(y1) A''_1 x1
-                a1 = a_factors[0]
-                if not st.is_suffix(x1, a1):
-                    continue
-                if not st.is_prefix(st.tau(y1, -1), st.right_quotient(a1, x1)):
-                    continue
-                if not _ladder_holds(st, a_factors, (b1,)):
-                    continue
-                return FormWitness(
-                    xt, identity_conj, "input", 1, k, x1, a_factors, (b1,), l, y1
-                )
-        return None
-
-    head = xt.factors[n + k - 1]  # the factor x1 B_1
-    tail = xt.factors[2 * n + k - 2]  # the factor B_n y1
-    mid_b = xt.factors[n + k : 2 * n + k - 2]  # B_2 .. B_{n-1}
-    for x1 in x_candidates:
-        if not st.is_prefix(x1, head):
-            continue
-        if not st.is_suffix(x1, a_factors[0]):  # condition: A_1 ends with x1
-            continue
-        b1 = st.left_quotient(x1, head)
-        for y1 in y_candidates:
-            if not st.is_suffix(y1, tail):
-                continue
-            # condition: A_n starts with tau^{-n}(y1)
-            if not st.is_prefix(st.tau(y1, -n), a_factors[-1]):
-                continue
-            b_factors = (b1,) + mid_b + (st.right_quotient(tail, y1),)
-            if not _ladder_holds(st, a_factors, b_factors):
-                continue
-            return FormWitness(
-                xt, identity_conj, "input", n, k, x1, a_factors, b_factors, l, y1
-            )
-    return None
+    return FormWitness(xt, st.nf(0), "input", n, k, x1, a_factors, b_factors, l, y1)
 
 
 def summit_length_filter(xt: NormalForm, q: RecognitionQuery) -> bool | None:
@@ -338,26 +302,101 @@ def _conjugacy_branch(
 
 
 def _summit_conjugates(
-    xt: NormalForm, max_sc: int, max_orbit: int
-) -> Iterator[tuple[NormalForm, NormalForm, str]]:
-    """Conjugates of a circuit element to search for the product shape.
+    xt: NormalForm, max_orbit: int
+) -> Iterator[tuple[NormalForm, NormalForm]]:
+    """The cycling orbit of a dual circuit element, each with its conjugator.
 
-    Yields (conjugate, conjugator from xt, location).  For the dual structure
-    one cycling orbit of xt suffices; for the standard structure the whole
-    sliding-circuits set is needed.
+    Yields (conjugate, conjugator from xt); one cycling orbit suffices in the
+    dual structure.  Raises ResourceCapExceeded past max_orbit elements.
     """
     st = xt.structure
-    if st.ident.kind is StructureKind.STANDARD:
-        for z, wz in sliding_circuits(xt, max_sc, max_orbit).elements.items():
-            yield z, wz, "sc"
-        return
     z, cum = xt, st.nf(0)
-    while True:
-        yield z, cum, "orbit"
+    for _ in range(max_orbit):
+        yield z, cum
         cum = st.nf_right_multiply(cum, initial_factor(z))
         z = cycling(z)
         if z == xt:
             return
+    raise ResourceCapExceeded("cycling orbit", max_orbit)
+
+
+def _standard_witness(st: GarsideStructure, w: FormWitness, c: NormalForm) -> FormWitness:
+    """Map a dual two-class witness back to the standard structure.
+
+    The dual element is z = P^{-1} a^k P b^l with P = B_1 ... B_n (the ladder
+    gives g^{-n} A_n ... A_1 = P^{-1}).  With a = R sigma_s R^{-1} and
+    b = R' sigma_s' R'^{-1}, conjugating z by R' gives
+    Q^{-1} sigma_s^k Q sigma_s'^l for Q = R^{-1} P R'.  Delta^2 is central,
+    so Q may drop an even Garside power and becomes positive: its simples,
+    Delta first if its power is odd, are the new B_i, and the ladder
+    A_i Delta^{i-1} B_i = Delta^i fixes the new A_i.  ``c`` maps the
+    standard input onto the element that was translated.
+    """
+    du = w.element.structure
+    pairs = du.ident.atom_pairs()
+    (t, s), (t2, s2) = pairs[du.atom_index[w.x1]], pairs[du.atom_index[w.y1]]
+
+    def standard(x: NormalForm) -> NormalForm:
+        return st.nf_from_word(to_standard(du.nf_to_word(x)))
+
+    def root(t: int, s: int) -> NormalForm:
+        return st.nf_from_word(BraidWord(st.ident, 0, tuple(band_root(t, s))))
+
+    p_dual = du.nf(0)
+    for b in w.b_factors:
+        p_dual = du.nf_right_multiply(p_dual, b)
+    root_y = root(t2, s2)
+    q_nf = st.nf_multiply(st.nf_inverse(root(t, s)), standard(p_dual))
+    q_nf = st.nf_multiply(q_nf, root_y)
+    b_factors = (st.delta,) * (q_nf.p % 2) + q_nf.factors
+    a_factors = tuple(
+        st.tau(st.complement_inv(b), 1 - i) for i, b in enumerate(b_factors, start=1)
+    )
+    conj = st.nf_multiply(st.nf_multiply(c, standard(w.conjugator)), root_y)
+    out = FormWitness(
+        st.nf(0), conj, w.location, len(b_factors), w.k, st.atoms[s - 1],
+        a_factors, b_factors, w.l, st.atoms[s2 - 1],
+    )
+    return replace(out, element=rebuild_witness(out))
+
+
+def _two_class(
+    x: NormalForm, q: RecognitionQuery, max_sc: int, max_orbit: int
+) -> RecognitionResult:
+    """The two-class pipeline: slide to a circuit, then decide.
+
+    A positive circuit element goes to the positive-summit branch, a negative
+    one through the summit-length filter and then, in the dual structure, to
+    the cycling-orbit walk.  A standard element the filter passes is decided
+    in the dual structure and its witness mapped back.
+    """
+    st = x.structure
+    xt, c = slide_to_circuit(x, max_orbit)
+    if xt.p >= 0:
+        if q.k == q.l == 1:
+            # positive of algebraic length 2: a product a b of two atoms, and
+            # every atom is conjugate to every other one
+            simples = (st.delta,) * xt.p + xt.factors
+            a, b = (st.atoms[i] for f in simples for i in st.spell_simple(f))
+            w = FormWitness(xt, c, "conjugacy", 0, 1, a, (), (), 1, b)
+            return RecognitionResult(True, w)
+        return _conjugacy_branch(xt, c, q, max_sc, max_orbit)
+    if summit_length_filter(xt, q) is False:
+        return RecognitionResult(False)
+    if st.ident.kind is StructureKind.STANDARD:
+        du = dual_structure(st.ident.strands)
+        dual_q = RecognitionQuery(du.ident, 0, q.k, 0, q.l)
+        xd = du.nf_from_word(to_dual(st.nf_to_word(xt)))
+        res = _two_class(xd, dual_q, max_sc, max_orbit)
+        if res.witness is None:
+            return res
+        return RecognitionResult(True, _standard_witness(st, res.witness, c))
+    for z, wz in _summit_conjugates(xt, max_orbit):
+        w = match_product_form(z, q)
+        if w is not None:
+            conj = st.nf_multiply(c, wz)
+            return RecognitionResult(True, replace(w, conjugator=conj, location="orbit"))
+    return RecognitionResult(False)
 
 
 def recognize(
@@ -372,8 +411,12 @@ def recognize(
     queries read the answer off the normal form of the input.  Two-class
     queries slide to a circuit.  A positive circuit element answers YES at
     once when k = l = 1 (it spells a product of two atoms) and is otherwise
-    tested for conjugacy to explicit atom-power products; a negative one has
-    its summit conjugates pattern-matched.
+    tested for conjugacy to explicit atom-power products; a negative one that
+    passes the summit-length filter has its dual cycling orbit
+    pattern-matched, a standard element after translation to the dual
+    structure.  max_sc bounds the sliding-circuits set of the positive-summit
+    branch, and max_orbit every sliding trajectory and the orbit walk; past
+    either, ResourceCapExceeded is raised.
     """
     st = structure_for(q.structure)
     if not isinstance(x, NormalForm):
@@ -386,22 +429,4 @@ def recognize(
     if q.y is None:
         w = match_power_form(x, q)
         return RecognitionResult(w is not None, w)
-
-    xt, c = slide_to_circuit(x, max_orbit)
-    if xt.p >= 0:
-        if q.k == q.l == 1:
-            # positive of algebraic length 2: a product a b of two atoms, and
-            # every atom is conjugate to every other one
-            simples = (st.delta,) * xt.p + xt.factors
-            a, b = (st.atoms[i] for f in simples for i in st.spell_simple(f))
-            w = FormWitness(xt, c, "conjugacy", 0, 1, a, (), (), 1, b)
-            return RecognitionResult(True, w)
-        return _conjugacy_branch(xt, c, q, max_sc, max_orbit)
-    if summit_length_filter(xt, q) is False:
-        return RecognitionResult(False)
-    for z, wz, location in _summit_conjugates(xt, max_sc, max_orbit):
-        w = match_product_form(z, q)
-        if w is not None:
-            conj = st.nf_multiply(c, wz)
-            return RecognitionResult(True, replace(w, conjugator=conj, location=location))
-    return RecognitionResult(False)
+    return _two_class(x, q, max_sc, max_orbit)

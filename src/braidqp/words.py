@@ -19,11 +19,17 @@ appear anywhere; they are folded into the leading power by twisting the
 letters they move past.  Named atoms: ``s1`` .. ``s9`` are sigma_i, and for
 the dual structure ``a31``-style names address arbitrary bands, with sugar
 ``a`` = a31, ``b`` = a42 and ``s0`` = a_{n,1}.
+
+``to_dual`` and ``to_standard`` translate words between the two structures on
+the same group: sigma_i is the band a_{i+1,i}, and a_{ts} is
+R sigma_s R^{-1} with R = sigma_{t-1} ... sigma_{s+1} (Birman, Ko and Lee,
+Adv. Math. 1998); delta = sigma_{n-1} ... sigma_1 and Delta^2 = delta^n.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass
 
@@ -60,8 +66,7 @@ class StructureId:
     def atom_pairs(self) -> tuple[tuple[int, int], ...]:
         if self.kind is not StructureKind.DUAL:
             raise ValueError("atom pairs only exist for the dual structure")
-        n = self.strands
-        return tuple((t, s) for t in range(2, n + 1) for s in range(1, t))
+        return _band_pairs(self.strands)
 
     def atom_index_of_artin(self, i: int) -> int:
         """Atom index of sigma_i in the canonical enumeration."""
@@ -69,14 +74,15 @@ class StructureId:
             raise ValueError(f"sigma_{i} does not exist in Br_{self.strands}")
         if self.kind is StructureKind.STANDARD:
             return i - 1
-        return self.atom_pairs().index((i + 1, i))
+        return self.atom_index_of_band(i + 1, i)
 
     def atom_index_of_band(self, t: int, s: int) -> int:
         if self.kind is not StructureKind.DUAL:
             raise ValueError("band atoms only exist in the dual structure")
         if not self.strands >= t > s >= 1:
             raise ValueError(f"invalid band ({t},{s}) for Br_{self.strands}")
-        return self.atom_pairs().index((t, s))
+        # the pairs (u, r) with u < t come first: 1 + 2 + ... + (t - 2) of them
+        return (t - 1) * (t - 2) // 2 + s - 1
 
     def atom_name(self, index: int) -> str:
         """Serialized token for an atom (numeric for Artin generators)."""
@@ -98,6 +104,11 @@ class StructureId:
         if t < s:
             t, s = s, t
         return self.atom_index_of_band(t, s)
+
+
+@functools.cache
+def _band_pairs(n: int) -> tuple[tuple[int, int], ...]:
+    return tuple((t, s) for t in range(2, n + 1) for s in range(1, t))
 
 
 @dataclass(frozen=True)
@@ -217,3 +228,44 @@ def word_to_text(word: BraidWord) -> str:
 def algebraic_length(word: BraidWord) -> int:
     """Exponent sum: the image under the homomorphism sending atoms to 1."""
     return word.g * word.structure.garside_norm + sum(s for _, s in word.letters)
+
+
+def to_dual(word: BraidWord) -> BraidWord:
+    """The same braid as a word over the dual structure; sigma_i is a_{i+1,i}."""
+    if word.structure.kind is not StructureKind.STANDARD:
+        raise ValueError("to_dual translates words over the standard structure")
+    n = word.structure.strands
+    dual = StructureId(n, StructureKind.DUAL)
+    # Delta^g = delta^{n m} Delta^r with g = 2m + r; Delta is the positive
+    # word (sigma_1)(sigma_2 sigma_1)...(sigma_{n-1} ... sigma_1)
+    m, r = divmod(word.g, 2)
+    half_twist = [(j, 1) for i in range(1, n) for j in range(i, 0, -1)] * r
+    letters = tuple(
+        (dual.atom_index_of_band(i + 1, i), sign)
+        for i, sign in half_twist + [(index + 1, sign) for index, sign in word.letters]
+    )
+    return BraidWord(dual, n * m, letters)
+
+
+def band_root(t: int, s: int) -> list[tuple[int, int]]:
+    """Standard letters of R = sigma_{t-1} ... sigma_{s+1}: a_{ts} = R sigma_s R^{-1}."""
+    return [(i - 1, 1) for i in range(t - 1, s, -1)]
+
+
+def to_standard(word: BraidWord) -> BraidWord:
+    """The same braid as a word over the standard structure.
+
+    a_{ts}^{+-1} becomes R sigma_s^{+-1} R^{-1} with R = sigma_{t-1} ... sigma_{s+1}.
+    """
+    if word.structure.kind is not StructureKind.DUAL:
+        raise ValueError("to_standard translates words over the dual structure")
+    n = word.structure.strands
+    pairs = _band_pairs(n)
+    # delta^g = Delta^{2m} delta^r with g = n m + r, delta = sigma_{n-1} ... sigma_1
+    m, r = divmod(word.g, n)
+    letters = [(i - 1, 1) for i in range(n - 1, 0, -1)] * r
+    for index, sign in word.letters:
+        t, s = pairs[index]
+        root = band_root(t, s)
+        letters += root + [(s - 1, sign)] + [(i, -1) for i, _ in reversed(root)]
+    return BraidWord(StructureId(n, StructureKind.STANDARD), 2 * m, tuple(letters))

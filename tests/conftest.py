@@ -1,20 +1,28 @@
-"""Shared fixtures: structures, random-word helpers and the divisor oracle."""
+"""Shared fixtures: structures, random-word helpers and the reference oracles."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from braidqp import (
     BraidWord,
+    FormWitness,
     GarsideStructure,
     NormalForm,
+    RecognitionQuery,
+    RecognitionResult,
     Simple,
+    StructureKind,
     artin_structure,
     dual_structure,
     inverse_perm,
     mult,
+    slide_to_circuit,
+    sliding_circuits,
+    summit_length_filter,
 )
 
 
@@ -206,3 +214,97 @@ def oracle_dual5(dual5):
 @pytest.fixture(scope="session")
 def oracle_dual4(dual4):
     return DivisorOracle(dual4)
+
+
+# ----- the standard two-class search, kept as the reference ---------------
+
+
+def _ladder(st: GarsideStructure, a_factors, b_factors) -> bool:
+    for i, (a, b) in enumerate(zip(a_factors, b_factors), start=1):
+        t = st.nf_right_multiply(st.nf_mult_delta(st.nf_of_simple(a), i - 1), b)
+        if t != st.nf(i):
+            return False
+    return True
+
+
+def _atom_run_candidates(st: GarsideStructure, run: tuple[Simple, ...]) -> list[Simple]:
+    """The atoms x1 may be, given a run of k-1 copies of it."""
+    if not run:
+        return list(st.atoms)
+    if len(set(run)) == 1 and run[0] in st.atom_index:
+        return [run[0]]
+    return []
+
+
+def standard_product_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | None:
+    """The standard two-class shape read off a left normal form (n >= 1).
+
+    g^{-n} A_n .. A_1 x1^k B_1 .. B_n y1^l in left normal form fuses x1 into
+    B_1 and y1 into B_n (both into B_1 when n = 1), so the form has
+    2n + k + l - 2 factors; A_1 ends with x1 and A_n starts with
+    tau^{-n}(y1).
+    """
+    st = xt.structure
+    assert st.ident.kind is StructureKind.STANDARD and q.l is not None
+    k, l = q.k, q.l
+    n = -xt.p
+    if n < 1 or len(xt.factors) != 2 * n + k + l - 2:
+        return None
+    a_factors = tuple(reversed(xt.factors[:n]))  # (A_1, ..., A_n)
+    x_candidates = _atom_run_candidates(st, xt.factors[n : n + k - 1])
+    y_candidates = _atom_run_candidates(st, xt.factors[2 * n + k - 1 :])
+
+    def found(x1, b_factors, y1):
+        return FormWitness(xt, st.nf(0), "input", n, k, x1, a_factors, b_factors, l, y1)
+
+    if n == 1:
+        fused = xt.factors[k]  # the factor x1 B_1 y1
+        for x1 in x_candidates:
+            if not st.is_prefix(x1, fused) or not st.is_suffix(x1, a_factors[0]):
+                continue
+            rest = st.left_quotient(x1, fused)
+            for y1 in y_candidates:
+                if not st.is_suffix(y1, rest):
+                    continue
+                # A_1 = tau^{-1}(y1) A''_1 x1
+                if not st.is_prefix(st.tau(y1, -1), st.right_quotient(a_factors[0], x1)):
+                    continue
+                b1 = st.right_quotient(rest, y1)
+                if _ladder(st, a_factors, (b1,)):
+                    return found(x1, (b1,), y1)
+        return None
+
+    head = xt.factors[n + k - 1]  # the factor x1 B_1
+    tail = xt.factors[2 * n + k - 2]  # the factor B_n y1
+    mid_b = xt.factors[n + k : 2 * n + k - 2]  # B_2 .. B_{n-1}
+    for x1 in x_candidates:
+        if not st.is_prefix(x1, head) or not st.is_suffix(x1, a_factors[0]):
+            continue
+        b1 = st.left_quotient(x1, head)
+        for y1 in y_candidates:
+            if not st.is_suffix(y1, tail) or not st.is_prefix(st.tau(y1, -n), a_factors[-1]):
+                continue
+            b_factors = (b1,) + mid_b + (st.right_quotient(tail, y1),)
+            if _ladder(st, a_factors, b_factors):
+                return found(x1, b_factors, y1)
+    return None
+
+
+def standard_sc_search(x: NormalForm, q: RecognitionQuery) -> RecognitionResult | None:
+    """Standard two-class decision by a search of the whole sliding-circuits set.
+
+    Covers elements whose summit inf is negative (None otherwise): after the
+    summit-length filter, every element of the set is matched against the
+    standard shape.
+    """
+    st = x.structure
+    xt, c = slide_to_circuit(x)
+    if xt.p >= 0:
+        return None
+    if summit_length_filter(xt, q) is False:
+        return RecognitionResult(False)
+    for z, wz in sliding_circuits(xt).elements.items():
+        w = standard_product_form(z, q)
+        if w is not None:
+            return RecognitionResult(True, replace(w, conjugator=st.nf_multiply(c, wz), location="sc"))
+    return RecognitionResult(False)

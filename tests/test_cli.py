@@ -122,6 +122,15 @@ def test_resource_cap_exits_3(capsys):
     assert code == 3 and "cap" in err
 
 
+def test_orbit_cap_exits_3(capsys):
+    # the braid lies on its sliding circuit; its cycling orbit has 12 elements
+    args = ("recognize", "-n", "3", "--structure", "dual", "2 1 -1 2 -1 2")
+    code, _, err = run(capsys, *args, "--max-orbit", "1", "-x", "1", "-k", "1", "-y", "1", "-l", "1")
+    assert code == 3 and "cycling orbit" in err
+    code, data, _ = run_json(capsys, *args, "--max-orbit", "12", "-x", "1", "-k", "1", "-y", "1", "-l", "1")
+    assert code == 0 and data["verdict"] is False
+
+
 def test_env_var_cap_override(capsys, monkeypatch):
     monkeypatch.setenv("BRAIDQP_MAX_SC", "1")
     code, _, err = run(capsys, "sc", "-n", "4", "1 -2 3 -1 2 -3 1 1")

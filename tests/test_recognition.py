@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from braidqp import (
     BraidWord,
+    FormWitness,
     RecognitionQuery,
+    ResourceCapExceeded,
+    StructureId,
     StructureKind,
     artin_structure,
     dual_structure,
@@ -22,7 +26,7 @@ from braidqp import (
     summit_length_filter,
     verify_witness,
 )
-from conftest import random_nf, random_word
+from conftest import random_nf, random_word, standard_sc_search
 
 
 def _conjugated_power(st, rng, atom_idx, k, conj_len=3):
@@ -125,7 +129,7 @@ def test_two_class_membership(which, request):
         assert res.verdict
         assert res.witness is not None
         assert verify_witness(prod, res.witness)
-        assert res.witness.location in ("input", "conjugacy", "orbit", "sc")
+        assert res.witness.location in ("input", "conjugacy", "orbit")
 
 
 @pytest.mark.parametrize("which", ["std3", "dual4"])
@@ -143,25 +147,29 @@ def test_two_class_rejections(which, request):
         assert not recognize(x, RecognitionQuery(st.ident, 0, k, 0, l)).verdict
 
 
-def test_witness_fields_describe_the_form(dual4):
-    st = dual4
-    rng = random.Random(41)
-    for _ in range(10):
-        prod = st.nf_multiply(
-            _conjugated_power(st, rng, rng.randrange(6), 1),
-            _conjugated_power(st, rng, rng.randrange(6), 2),
-        )
-        res = recognize(prod, RecognitionQuery(st.ident, 0, 1, 0, 2))
-        assert res.verdict and res.witness is not None
-        w = res.witness
-        assert w.x1 in st.atom_index
-        assert len(w.a_factors) == w.n and len(w.b_factors) == w.n
-        if w.y1 is not None:
-            assert w.y1 in st.atom_index
-        # the ladder telescopes: A_i g^{i-1} B_i = g^i
-        for i, (a, b) in enumerate(zip(w.a_factors, w.b_factors), start=1):
-            t = st.nf_mult_delta(st.nf_of_simple(a), i - 1)
-            assert st.nf_right_multiply(t, b) == st.nf(i)
+def test_witness_fields_describe_the_form(dual4, std4):
+    # standard witnesses of negative-summit products are mapped back from the
+    # dual structure; the mapped factors must satisfy the standard ladder
+    for st in (dual4, std4):
+        rng = random.Random(41)
+        laddered = 0
+        for _ in range(10):
+            prod = st.nf_multiply(
+                _conjugated_power(st, rng, rng.randrange(len(st.atoms)), 1),
+                _conjugated_power(st, rng, rng.randrange(len(st.atoms)), 2),
+            )
+            res = recognize(prod, RecognitionQuery(st.ident, 0, 1, 0, 2))
+            assert res.verdict and res.witness is not None
+            w = res.witness
+            assert w.x1 in st.atom_index and w.y1 in st.atom_index
+            assert len(w.a_factors) == w.n and len(w.b_factors) == w.n
+            laddered += w.n > 0
+            # the ladder telescopes: A_i g^{i-1} B_i = g^i
+            for i, (a, b) in enumerate(zip(w.a_factors, w.b_factors), start=1):
+                t = st.nf_mult_delta(st.nf_of_simple(a), i - 1)
+                assert st.nf_right_multiply(t, b) == st.nf(i)
+            assert rebuild_witness(w) == w.element
+        assert laddered > 0
 
 
 def test_summit_length_filter(dual4, std4):
@@ -188,6 +196,38 @@ def test_matchers_reject_perturbations(dual4):
     assert match_power_form(st.nf(0, (st.atoms[0], st.atoms[1])), RecognitionQuery(
         st.ident, 0, 2
     )) is None
+    # standard two-class queries are matched in the dual structure only
+    std = artin_structure(4)
+    with pytest.raises(ValueError):
+        match_product_form(std.nf(-1, (std.atoms[0],) * 2), RecognitionQuery(std.ident, 0, 1, 0, 1))
+
+
+@pytest.mark.parametrize("which", ["std4", "dual4"])
+def test_verify_witness_checks_the_ladder(which, request):
+    # factors that re-multiply to the element but break A_1 B_1 = g: with
+    # B_1 the identity the shape is no class product at all
+    st = request.getfixturevalue(which)
+    for s in st.all_simples[:-1]:
+        w = FormWitness(
+            st.nf(0), st.nf(0), "input", 1, 1, st.atoms[0], (s,), (st.identity,), 1, st.atoms[-1]
+        )
+        w = replace(w, element=rebuild_witness(w))
+        assert not verify_witness(w.element, w)
+
+
+@pytest.mark.parametrize(
+    "kind, text", [("dual", "2 1 -1 2 -1 2"), ("standard", "-1 2 1 -2 -2 1 2 2")]
+)
+def test_orbit_walk_honours_max_orbit(kind, text):
+    # each braid is its own circuit element (in the dual structure, after
+    # translation, for the standard one), so only the orbit walk exceeds 1
+    st = structure_for(StructureId(3, StructureKind(kind)))
+    x = st.nf_from_word(parse_word(text, st.ident))
+    q = RecognitionQuery(st.ident, 0, 1, 0, 1)
+    with pytest.raises(ResourceCapExceeded) as exc:
+        recognize(x, q, max_orbit=1)
+    assert exc.value.what == "cycling orbit"
+    assert recognize(x, q).verdict == (kind == "standard")
 
 
 def test_recognize_dispatch_and_structure_guards(std3, dual3):
@@ -249,3 +289,49 @@ def test_algebraic_length_decides_no_first(which, request):
     x = st.nf_from_word(parse_word("1 2", st.ident))
     assert not recognize(x, RecognitionQuery(st.ident, 0, 20000, 0, 1)).verdict
     assert not recognize(x, RecognitionQuery(st.ident, 0, 20000)).verdict
+
+
+def _artin_word(rng, n, length):
+    return [(rng.randrange(1, n), rng.choice((1, -1))) for _ in range(length)]
+
+
+def _in_structure(st, artin):
+    letters = tuple((st.ident.atom_index_of_artin(i), s) for i, s in artin)
+    return st.nf_from_word(BraidWord(st.ident, 0, letters))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_standard_verdicts_agree_with_sc_search_and_dual(n):
+    # three decisions on one braid: the library's standard answer, the
+    # whole-SC search of the standard structure, and the dual answer
+    std, dual = artin_structure(n), dual_structure(n)
+    rng = random.Random(61 + n)
+    counts = {"yes": 0, "open": 0}
+    while min(counts.values()) < 12:
+        k, l = rng.randint(1, 2), rng.randint(1, 2)
+        if counts["yes"] < 12:
+            g1, g2 = _artin_word(rng, n, 3), _artin_word(rng, n, 3)
+            word, kind = [], "yes"
+            for g, e in ((g1, k), (g2, l)):
+                inv = [(i, -s) for i, s in reversed(g)]
+                word += inv + [(rng.randrange(1, n), 1)] * e + g
+        else:
+            word, kind = _artin_word(rng, n, 8 + (k + l) % 2), "open"
+            if sum(s for _, s in word) != k + l:
+                continue
+        x = _in_structure(std, word)
+        q = RecognitionQuery(std.ident, 0, k, 0, l)
+        xt, _ = slide_to_circuit(x)
+        if xt.p >= 0 or summit_length_filter(xt, q) is False:
+            continue  # only the negative-summit queries the filter passes
+        counts[kind] += 1
+        ref = standard_sc_search(x, q)
+        lib = recognize(x, q)
+        xd = _in_structure(dual, word)
+        dual_res = recognize(xd, RecognitionQuery(dual.ident, 0, k, 0, l))
+        assert lib.verdict == ref.verdict == dual_res.verdict, (word, k, l)
+        if kind == "yes":
+            assert lib.verdict
+        for original, res in ((x, lib), (x, ref), (xd, dual_res)):
+            if res.verdict:
+                assert verify_witness(original, res.witness)

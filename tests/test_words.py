@@ -16,6 +16,8 @@ from braidqp import (
     artin_structure,
     dual_structure,
     parse_word,
+    to_dual,
+    to_standard,
     word_to_text,
 )
 
@@ -154,3 +156,49 @@ def test_structure_validation():
     st = artin_structure(3)
     with pytest.raises(ValueError):
         st.nf_from_word(parse_word("1", STD4))
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_band_index_closed_form(n):
+    ident = StructureId(n, StructureKind.DUAL)
+    pairs = ident.atom_pairs()
+    assert ident.atom_pairs() is pairs  # built once per strand count
+    assert len(pairs) == ident.num_atoms
+    for index, (t, s) in enumerate(pairs):
+        assert ident.atom_index_of_band(t, s) == index
+    for i in range(1, n):
+        assert ident.atom_index_of_artin(i) == pairs.index((i + 1, i))
+
+
+def test_translation_sends_sigma_i_to_a_i_plus_1_i():
+    std, dual = StructureId(5, StructureKind.STANDARD), StructureId(5, StructureKind.DUAL)
+    for i in range(1, 5):
+        for sign in (1, -1):
+            w = to_dual(BraidWord(std, 0, ((i - 1, sign),)))
+            assert w == BraidWord(dual, 0, ((dual.atom_index_of_band(i + 1, i), sign),))
+    # a_{41} = R sigma_1 R^{-1} with R = sigma_3 sigma_2
+    a41 = BraidWord(dual, 0, ((dual.atom_index_of_band(4, 1), 1),))
+    assert to_standard(a41) == parse_word("3 2 1 -2 -3", std)
+    # Delta^2 = delta^n in both directions
+    assert to_dual(BraidWord(std, 2)) == BraidWord(dual, 5)
+    assert to_standard(BraidWord(dual, -5)) == BraidWord(std, -2)
+    with pytest.raises(ValueError):
+        to_standard(BraidWord(std, 1))
+    with pytest.raises(ValueError):
+        to_dual(BraidWord(dual, 1))
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_translation_round_trips(n):
+    # both directions, on words with Garside powers of either sign
+    std, dual = artin_structure(n), dual_structure(n)
+    rng = random.Random(70 + n)
+    for _ in range(25):
+        for st in (std, dual):
+            letters = tuple(
+                (rng.randrange(len(st.atoms)), rng.choice((1, -1)))
+                for _ in range(rng.randrange(12))
+            )
+            w = BraidWord(st.ident, rng.randint(-2 * n, 2 * n), letters)
+            back = to_standard(to_dual(w)) if st is std else to_dual(to_standard(w))
+            assert st.nf_from_word(back) == st.nf_from_word(w)
