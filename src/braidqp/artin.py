@@ -36,7 +36,6 @@ class ArtinStructure(GarsideStructure):
             atoms.append(tuple(a))
         return tuple(atoms)
 
-    @functools.lru_cache(maxsize=None)
     def norm(self, s: Simple) -> int:
         return inversion_count(s)
 
@@ -67,6 +66,14 @@ class ArtinStructure(GarsideStructure):
             else:
                 j += 1
         return mult(a, inverse_perm(p))
+
+    def join(self, a: Simple, b: Simple) -> Simple:
+        # s lies above a iff complement(s) divides complement(a) on the right,
+        # so the join is the left complement of the right meet of the
+        # complements.  Reversing words inverts permutation braids and turns
+        # that right meet into a meet.
+        m = self.meet(inverse_perm(self.complement(a)), inverse_perm(self.complement(b)))
+        return self.complement_inv(inverse_perm(m))
 
 
 @functools.cache

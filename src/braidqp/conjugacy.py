@@ -180,21 +180,21 @@ def min_sc_conjugator(
     divides every other one and hence has the smallest norm among them: the
     first working simple in (norm, payload) order is that least element.
     """
-    return _min_sc_conjugators(y, (atom,), max_orbit)[0]
+    return _min_sc_conjugators(y, (atom,), max_orbit)[0][0]
 
 
 def _min_sc_conjugators(
     y: NormalForm, atoms: Sequence[int], max_orbit: int
-) -> list[Simple]:
-    """min_sc_conjugator for each atom, in order, testing each simple once.
+) -> list[tuple[Simple, NormalForm]]:
+    """min_sc_conjugator for each atom, in order, with the conjugate of y by it.
 
-    A simple is tested only if it lies above an atom still without one, and a
-    working simple answers every such atom.  A conjugate off the summit inf
+    A simple is tested once, if it lies above an atom still without one, and
+    a working simple answers every such atom.  A conjugate off the summit inf
     and sup is rejected without sliding.  The last simple, the Garside
     element, always works (it commutes with sliding), so it is not tested.
     """
     st = y.structure
-    found: dict[int, Simple] = {}
+    found: dict[int, tuple[Simple, NormalForm]] = {}
     pending = list(atoms)
     for s in st.all_simples[:-1]:
         above = [i for i in pending if st.atom_prefix(i, s)]
@@ -205,11 +205,12 @@ def _min_sc_conjugators(
             continue
         if in_sliding_circuit(z, max_orbit):
             for i in above:
-                found[i] = s
+                found[i] = (s, z)
             pending = [i for i in pending if i not in found]
             if not pending:
                 break
-    return [found.get(i, st.delta) for i in atoms]
+    top = (st.delta, st.nf_tau(y, 1)) if pending else None
+    return [found.get(i, top) for i in atoms]
 
 
 @dataclass(frozen=True)
@@ -253,8 +254,9 @@ def sliding_circuits(
     while frontier:
         y = frontier.pop()
         wy = sc.elements[y]
-        minima = set(_min_sc_conjugators(y, range(len(st.atoms)), max_orbit))
-        candidates = sorted(minima, key=st.norm)
+        minima = _min_sc_conjugators(y, range(len(st.atoms)), max_orbit)
+        conjugate = dict(minima)
+        candidates = sorted({s for s, _ in minima}, key=st.norm)
         # keep only the divisibility-minimal candidates
         arrows = [
             c
@@ -265,7 +267,7 @@ def sliding_circuits(
         iota = st.identity if trivial else initial_factor(y)
         dphi = st.identity if trivial else st.complement(final_factor(y))
         for c in arrows:
-            z = st.nf_conjugate_by_simple(y, c)
+            z = conjugate[c]
             sc.arrows.append(
                 Arrow(
                     y,

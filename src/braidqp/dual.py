@@ -80,7 +80,6 @@ class DualStructure(GarsideStructure):
     def norm(self, s: Simple) -> int:
         return len(s) - len(cycles_of(s))
 
-    @functools.lru_cache(maxsize=None)
     def is_simple_payload(self, s: Simple) -> bool:
         return is_noncrossing_ascending(s)
 
@@ -110,6 +109,11 @@ class DualStructure(GarsideStructure):
                 j = a[j]
             out.append(j)
         return tuple(out)
+
+    def join(self, a: Simple, b: Simple) -> Simple:
+        # Prefixes and suffixes of a simple coincide, so the right meet of the
+        # complements is their meet.
+        return self.complement_inv(self.meet(self.complement(a), self.complement(b)))
 
     @staticmethod
     def _same_cycle(s: Simple, i: int, j: int) -> bool:

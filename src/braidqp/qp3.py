@@ -13,6 +13,7 @@ that survives rotations of the exponent vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .artin import artin_structure
 from .core import NormalForm
@@ -127,22 +128,11 @@ def to_pa_form(w: BraidWord | NormalForm) -> PAForm:
         if w.structure.strands != 3 or w.structure.kind is not StructureKind.STANDARD:
             raise ValueError("expected a 3-strand standard-structure word")
         x = st.nf_from_word(w)
-    letters: list[int] = []
-    for f in x.factors:
-        letters.extend(st.spell_simple(f))
-    runs: list[int] = []
-    parities: list[int] = []
-    for atom in letters:
-        if parities and parities[-1] == atom:
-            runs[-1] += 1
-        else:
-            parities.append(atom)
-            runs.append(1)
-    if parities and parities[0] == 1:
-        # starts with sigma2: conjugate by the half twist, which swaps the
-        # generators and keeps the Garside power
-        parities = [1 - q for q in parities]
-    return reduce(PAForm(x.p, tuple(runs)))
+    letters = [atom for f in x.factors for atom in st.spell_simple(f)]
+    # A word starting with sigma2 is conjugated by the half twist, which swaps
+    # the generators and keeps the runs and the Garside power.
+    runs = tuple(len(list(run)) for _, run in groupby(letters))
+    return reduce(PAForm(x.p, runs))
 
 
 def pa_form_element(pa: PAForm) -> NormalForm:

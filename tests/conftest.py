@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import replace
 
@@ -89,6 +90,38 @@ def greedy_meet(st: GarsideStructure, a: Simple, b: Simple) -> Simple:
                 changed = True
                 break
     return out
+
+
+@functools.cache
+def _upper_sets(st: GarsideStructure) -> dict[Simple, frozenset[Simple]]:
+    """Every simple mapped to the simples above it.
+
+    Built from the top down: the simples above s are s itself and those above
+    each cover s*atom (a simple whose norm is one more).
+    """
+    up: dict[Simple, frozenset[Simple]] = {}
+    for s in reversed(st.all_simples):  # listed by norm, so covers come first
+        covers = (mult(s, atom) for atom in st.atoms)
+        up[s] = frozenset((s,)).union(
+            *(up[t] for t in covers if t in up and st.norm(t) == st.norm(s) + 1)
+        )
+    return up
+
+
+def scan_join(st: GarsideStructure, a: Simple, b: Simple) -> Simple:
+    """Join by a scan of the common upper bounds: the one of least norm.
+
+    Every common upper bound lies above the join, so the join is the only
+    one of least norm; this is the structure-neutral reference for the
+    closed forms.
+    """
+    up = _upper_sets(st)
+    return min(up[a] & up[b], key=st.norm)
+
+
+def conjugate_reference(st: GarsideStructure, x: NormalForm, c: NormalForm) -> NormalForm:
+    """c^{-1} x c by inverting and multiplying: the reference for conjugation."""
+    return st.nf_multiply(st.nf_multiply(st.nf_inverse(c), x), c)
 
 
 class DivisorOracle:

@@ -26,7 +26,7 @@ from braidqp import (
     sliding_circuits,
     sliding_transport,
 )
-from conftest import random_nf
+from conftest import conjugate_reference, random_nf
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +168,7 @@ def _meet_of_working(y, atom_idx):
         t
         for t in st.all_simples
         if st.is_prefix(atom, t)
-        and in_sliding_circuit(st.nf_conjugate(y, st.nf_of_simple(t)))
+        and in_sliding_circuit(conjugate_reference(st, y, st.nf_of_simple(t)))
     ]
     out = working[0]
     for t in working[1:]:

@@ -15,7 +15,7 @@ from braidqp import (
     inverse_perm,
     mult,
 )
-from conftest import greedy_meet, random_nf, random_word
+from conftest import conjugate_reference, greedy_meet, random_nf, random_word, scan_join
 
 
 def _positive_word(st, letters):
@@ -81,6 +81,24 @@ def test_meet_matches_greedy_peel(st):
         assert st.meet(a, b) == greedy_meet(st, a, b)
 
 
+@pytest.mark.parametrize(
+    "st",
+    [artin_structure(5), artin_structure(6), dual_structure(6), dual_structure(7)],
+    ids=["std5", "std6", "dual6", "dual7"],
+)
+def test_join_matches_scan(st):
+    simples = st.all_simples
+    special = (st.identity, st.delta) + st.atoms
+    for a in special:
+        for b in simples:
+            assert st.join(a, b) == scan_join(st, a, b)
+            assert st.join(b, a) == scan_join(st, b, a)
+    rng = random.Random(7)
+    for _ in range(3000):
+        a, b = rng.choice(simples), rng.choice(simples)
+        assert st.join(a, b) == scan_join(st, a, b)
+
+
 @pytest.mark.parametrize("which", ["std4", "dual5"])
 def test_lattice_laws(which, request):
     st = request.getfixturevalue(which)
@@ -100,6 +118,30 @@ def test_lattice_laws(which, request):
         a, b, c = (rng.choice(simples) for _ in range(3))
         assert st.meet(st.meet(a, b), c) == st.meet(a, st.meet(b, c))
         assert st.join(st.join(a, b), c) == st.join(a, st.join(b, c))
+
+
+@pytest.mark.parametrize("make", [artin_structure, dual_structure], ids=["std", "dual"])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_delta_power_is_a_product_of_deltas(make, n):
+    st = make(n)
+    m, d = 1, st.delta
+    while d != st.identity:
+        m, d = m + 1, mult(d, st.delta)
+    for k in range(-3 * m, 3 * m + 1):
+        step = st.delta if k >= 0 else inverse_perm(st.delta)
+        expected = st.identity
+        for _ in range(abs(k)):
+            expected = mult(expected, step)
+        assert st.delta_power(k) == expected
+
+
+@pytest.mark.parametrize("make", [artin_structure, dual_structure], ids=["std", "dual"])
+def test_memos_are_per_instance(make):
+    # a memo on a class would hold every instance, keyed by self, for good
+    st = make(4)
+    for cls in type(st).__mro__:
+        for name, value in vars(cls).items():
+            assert not hasattr(value, "cache_info"), f"{cls.__name__}.{name}"
 
 
 @pytest.mark.parametrize("which", ["std4", "dual5"])
@@ -166,7 +208,22 @@ def test_conjugate_by_simple_matches_general_conjugation(which, request):
         for s in st.all_simples:
             y = st.nf_conjugate_by_simple(x, s)
             st.nf_validate(y)
-            assert y == st.nf_conjugate(x, st.nf_of_simple(s))
+            assert y == conjugate_reference(st, x, st.nf_of_simple(s))
+
+
+@pytest.mark.parametrize("make", [artin_structure, dual_structure], ids=["std", "dual"])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_conjugate_matches_inverse_and_multiply(make, n):
+    st = make(n)
+    rng = random.Random(41)
+    cs = [random_nf(rng, st, rng.randrange(4, 16)) for _ in range(40)]
+    cs = [c for c in cs if c.p < 0 and len(c.factors) >= 2]
+    assert len(cs) >= 10
+    for c in cs:
+        x = random_nf(rng, st, rng.randrange(12))
+        y = st.nf_conjugate(x, c)
+        st.nf_validate(y)
+        assert y == conjugate_reference(st, x, c)
 
 
 @pytest.mark.parametrize("which", ["std4", "dual4"])
