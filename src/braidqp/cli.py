@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: nf, invariants, sc, orbit, conjugate, recognize, qp3.  Braid
-words use the grammar of the words module.  Exit codes: 0 on success (a NO
+words use the grammar of the words module.  Each subcommand takes only the
+options it reads: qp3 works on the standard structure on 3 strands and takes
+neither --structure nor -n, and the caps --max-sc and --max-orbit go to the
+subcommands that enumerate or walk.  Exit codes: 0 on success (a NO
 verdict is a success), 2 on malformed input (including more than
 MAX_STRANDS strands), 3 when a resource cap is hit or the recursion limit or
 memory runs out.
@@ -11,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any
 
@@ -20,7 +22,6 @@ from .conjugacy import (
     DEFAULT_MAX_SC,
     ResourceCapExceeded,
     are_conjugate,
-    cycling,
     cycling_orbit,
     decycling_orbit,
     slide_to_circuit,
@@ -43,8 +44,6 @@ from .words import (
     word_to_text,
 )
 
-MAX_SC_ENV = "BRAIDQP_MAX_SC"
-MAX_ORBIT_ENV = "BRAIDQP_MAX_ORBIT"
 # Strand bound of the command line (the library has none): the dual structure
 # alone builds n(n-1)/2 atoms of length n, which is cubic in n.
 MAX_STRANDS = 64
@@ -66,16 +65,6 @@ class _Report:
         else:
             for key, value in self.fields.items():
                 print(f"{key}: {value}")
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"invalid integer in ${name}: {raw!r}")
 
 
 def _structure(args: argparse.Namespace) -> GarsideStructure:
@@ -100,52 +89,14 @@ def _nf_text(st: GarsideStructure, x: NormalForm) -> str:
     return word_to_text(st.nf_to_word(x))
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--structure", choices=["standard", "dual"], default="standard"
-    )
-    sub.add_argument("-n", "--strands", type=int, default=3)
-    sub.add_argument("--json", action="store_true")
-    sub.add_argument(
-        "--max-sc",
-        type=int,
-        default=None,
-        help=f"cap on sliding-circuits set size (env {MAX_SC_ENV})",
-    )
-    sub.add_argument(
-        "--max-orbit",
-        type=int,
-        default=None,
-        help=f"cap on orbit/trajectory length (env {MAX_ORBIT_ENV})",
-    )
-
-
-def _caps(args: argparse.Namespace) -> tuple[int, int]:
-    max_sc = args.max_sc
-    if max_sc is None:
-        max_sc = _env_int(MAX_SC_ENV, DEFAULT_MAX_SC)
-    max_orbit = args.max_orbit
-    if max_orbit is None:
-        max_orbit = _env_int(MAX_ORBIT_ENV, DEFAULT_MAX_ORBIT)
-    return max_sc, max_orbit
-
-
-def _cycling_orbit_sizes(sc_elements: dict[NormalForm, NormalForm]) -> list[int]:
+def _cycling_orbit_sizes(elements: dict[NormalForm, NormalForm], max_orbit: int) -> list[int]:
     """Partition a sliding-circuits set into its cycling orbits."""
-    remaining = set(sc_elements)
+    remaining = set(elements)
     sizes = []
     while remaining:
-        start = next(iter(remaining))
-        size = 0
-        z = start
-        while True:
-            if z in remaining:
-                remaining.discard(z)
-                size += 1
-            z = cycling(z) if z.factors else z
-            if z == start:
-                break
-        sizes.append(size)
+        orbit = cycling_orbit(next(iter(remaining)), max_orbit)
+        sizes.append(len(remaining.intersection(orbit)))
+        remaining.difference_update(orbit)
     return sorted(sizes, reverse=True)
 
 
@@ -163,9 +114,8 @@ def _cmd_nf(args: argparse.Namespace, report: _Report) -> int:
 
 def _cmd_invariants(args: argparse.Namespace, report: _Report) -> int:
     st = _structure(args)
-    _, max_orbit = _caps(args)
     x = st.nf_from_word(_parse(st, args.word))
-    xt, _ = slide_to_circuit(x, max_orbit)
+    xt, _ = slide_to_circuit(x, args.max_orbit)
     report.add("inf_s", xt.inf)
     report.add("ell_s", xt.canonical_length)
     report.add("sup_s", xt.sup)
@@ -174,12 +124,11 @@ def _cmd_invariants(args: argparse.Namespace, report: _Report) -> int:
 
 def _cmd_sc(args: argparse.Namespace, report: _Report) -> int:
     st = _structure(args)
-    max_sc, max_orbit = _caps(args)
     x = st.nf_from_word(_parse(st, args.word))
-    sc = sliding_circuits(x, max_sc, max_orbit)
+    sc = sliding_circuits(x, args.max_sc, args.max_orbit)
     report.add("sc_size", len(sc))
     report.add("arrows", len(sc.arrows))
-    report.add("orbit_sizes", _cycling_orbit_sizes(sc.elements))
+    report.add("orbit_sizes", _cycling_orbit_sizes(sc.elements, args.max_orbit))
     rep = next(iter(sc.elements))
     report.add("inf_s", rep.inf)
     report.add("ell_s", rep.canonical_length)
@@ -189,20 +138,18 @@ def _cmd_sc(args: argparse.Namespace, report: _Report) -> int:
 
 def _cmd_orbit(args: argparse.Namespace, report: _Report) -> int:
     st = _structure(args)
-    _, max_orbit = _caps(args)
     x = st.nf_from_word(_parse(st, args.word))
-    xt, _ = slide_to_circuit(x, max_orbit)
-    report.add("cycling_orbit", len(cycling_orbit(xt, max_orbit)))
-    report.add("decycling_orbit", len(decycling_orbit(xt, max_orbit)))
+    xt, _ = slide_to_circuit(x, args.max_orbit)
+    report.add("cycling_orbit", len(cycling_orbit(xt, args.max_orbit)))
+    report.add("decycling_orbit", len(decycling_orbit(xt, args.max_orbit)))
     return 0
 
 
 def _cmd_conjugate(args: argparse.Namespace, report: _Report) -> int:
     st = _structure(args)
-    max_sc, max_orbit = _caps(args)
     x = st.nf_from_word(_parse(st, args.word))
     y = st.nf_from_word(_parse(st, args.other))
-    ok, conj = are_conjugate(x, y, max_sc, max_orbit)
+    ok, conj = are_conjugate(x, y, args.max_sc, args.max_orbit)
     report.add("verdict", ok)
     if conj is not None:
         report.add("conjugator", _nf_text(st, conj))
@@ -211,7 +158,6 @@ def _cmd_conjugate(args: argparse.Namespace, report: _Report) -> int:
 
 def _cmd_recognize(args: argparse.Namespace, report: _Report) -> int:
     st = _structure(args)
-    max_sc, max_orbit = _caps(args)
     word = _parse(st, args.word)
     q = RecognitionQuery(
         st.ident,
@@ -221,7 +167,7 @@ def _cmd_recognize(args: argparse.Namespace, report: _Report) -> int:
         args.l,
     )
     x = st.nf_from_word(word)
-    result = recognize(x, q, max_sc, max_orbit)
+    result = recognize(x, q, args.max_sc, args.max_orbit)
     report.add("verdict", result.verdict)
     if result.witness is not None:
         w = result.witness
@@ -247,11 +193,7 @@ def _cmd_recognize(args: argparse.Namespace, report: _Report) -> int:
 
 
 def _cmd_qp3(args: argparse.Namespace, report: _Report) -> int:
-    if args.strands != 3 or args.structure != "standard":
-        raise WordSyntaxError("qp3 requires the standard structure on 3 strands", 0)
-    st = _structure(args)
-    word = _parse(st, args.word)
-    pa = to_pa_form(word)
+    pa = to_pa_form(parse_word(args.word, StructureId(3, StructureKind.STANDARD)))
     report.add("verdict", qp3(pa))
     report.add("p", pa.p)
     report.add("a", list(pa.a))
@@ -266,32 +208,42 @@ def build_parser() -> argparse.ArgumentParser:
         "quasipositivity queries for braid groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, fn, extra in (
+    caps = {
+        "--max-sc": (DEFAULT_MAX_SC, "cap on sliding-circuits set size"),
+        "--max-orbit": (DEFAULT_MAX_ORBIT, "cap on orbit/trajectory length"),
+    }
+    commands = {}
+    # qp3 is fixed to the standard structure on 3 strands and reads no cap
+    for name, fn, flags in (
         ("nf", _cmd_nf, ()),
-        ("invariants", _cmd_invariants, ()),
-        ("sc", _cmd_sc, ()),
-        ("orbit", _cmd_orbit, ()),
-        ("conjugate", _cmd_conjugate, ("other",)),
-        ("recognize", _cmd_recognize, ()),
+        ("invariants", _cmd_invariants, ("--max-orbit",)),
+        ("sc", _cmd_sc, ("--max-sc", "--max-orbit")),
+        ("orbit", _cmd_orbit, ("--max-orbit",)),
+        ("conjugate", _cmd_conjugate, ("--max-sc", "--max-orbit")),
+        ("recognize", _cmd_recognize, ("--max-sc", "--max-orbit")),
         ("qp3", _cmd_qp3, ()),
     ):
-        p = sub.add_parser(name)
-        _add_common(p)
-        p.add_argument("word")
-        for arg in extra:
-            p.add_argument(arg)
+        p = commands[name] = sub.add_parser(name)
         p.set_defaults(fn=fn)
-        if name == "recognize":
-            p.add_argument("-x", required=True, help="atom token, e.g. 1 or a31")
-            p.add_argument("-k", type=int, required=True)
-            p.add_argument("-y", default=None)
-            p.add_argument("-l", type=int, default=None)
-            p.add_argument(
-                "--verify",
-                action="store_true",
-                help="re-multiply the witness and check it against the input",
-            )
+        if name != "qp3":
+            p.add_argument("--structure", choices=["standard", "dual"], default="standard")
+            p.add_argument("-n", "--strands", type=int, default=3)
+        p.add_argument("--json", action="store_true")
+        for flag in flags:
+            default, help_text = caps[flag]
+            p.add_argument(flag, type=int, default=default, help=help_text)
+        p.add_argument("word")
+    commands["conjugate"].add_argument("other")
+    p = commands["recognize"]
+    p.add_argument("-x", required=True, help="atom token, e.g. 1 or a31")
+    p.add_argument("-k", type=int, required=True)
+    p.add_argument("-y", default=None)
+    p.add_argument("-l", type=int, default=None)
+    p.add_argument(
+        "--verify",
+        action="store_true",
+        help="re-multiply the witness and check it against the input",
+    )
     return parser
 
 

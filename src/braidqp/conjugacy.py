@@ -19,7 +19,7 @@ are skipped before any sliding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import GarsideStructure, NormalForm, Simple
 
@@ -87,71 +87,64 @@ def cyclic_sliding(x: NormalForm) -> NormalForm:
     return x.structure.nf_conjugate_by_simple(x, p)
 
 
+def _walk(
+    x: NormalForm, step: Callable[[NormalForm], NormalForm], max_orbit: int, what: str
+) -> tuple[list[NormalForm], int]:
+    """Iterate step from x up to the first repeat.
+
+    Returns the distinct elements of the walk, in order, and the index among
+    them of the element the last step leads back to.  Raises
+    ResourceCapExceeded, naming ``what``, past max_orbit elements.
+    """
+    walk = [x]
+    index = {x: 0}
+    while True:
+        y = step(walk[-1])
+        if y in index:
+            return walk, index[y]
+        index[y] = len(walk)
+        walk.append(y)
+        if len(walk) > max_orbit:
+            raise ResourceCapExceeded(what, max_orbit)
+
+
 def slide_to_circuit(
     x: NormalForm, max_orbit: int = DEFAULT_MAX_ORBIT
 ) -> tuple[NormalForm, NormalForm]:
     """Iterate cyclic sliding until the trajectory repeats.
 
     Returns the first element of the periodic part together with a conjugator
-    ``c`` such that ``c^{-1} x c`` is that element.
+    ``c`` such that ``c^{-1} x c`` is that element: the product of the
+    preferred prefixes of the elements before it.
     """
     st = x.structure
-    traj = [x]
-    cum = [st.nf(0)]
-    index = {x: 0}
-    while True:
-        y = traj[-1]
-        c = preferred_prefix(y) if y.factors else st.identity
-        z = st.nf_conjugate_by_simple(y, c) if c != st.identity else y
-        if z in index:
-            j = index[z]
-            return traj[j], cum[j]
-        index[z] = len(traj)
-        traj.append(z)
-        cum.append(st.nf_right_multiply(cum[-1], c))
-        if len(traj) > max_orbit:
-            raise ResourceCapExceeded("sliding trajectory", max_orbit)
+    walk, j = _walk(x, cyclic_sliding, max_orbit, "sliding trajectory")
+    c = st.nf(0)
+    for y in walk[:j]:
+        c = st.nf_right_multiply(c, preferred_prefix(y))
+    return walk[j], c
 
 
 def in_sliding_circuit(x: NormalForm, max_orbit: int = DEFAULT_MAX_ORBIT) -> bool:
     """Whether cyclic sliding eventually returns to x itself."""
-    seen = {x}
-    y = cyclic_sliding(x)
-    while y not in seen:
-        seen.add(y)
-        y = cyclic_sliding(y)
-        if len(seen) > max_orbit:
-            raise ResourceCapExceeded("sliding trajectory", max_orbit)
-    # the first repeated value is the entry point of the periodic part
-    return y == x
+    return _walk(x, cyclic_sliding, max_orbit, "sliding trajectory")[1] == 0
 
 
 def cycling_orbit(
     x: NormalForm, max_orbit: int = DEFAULT_MAX_ORBIT
 ) -> list[NormalForm]:
     """The trajectory of iterated cycling from x up to the first repeat."""
-    return _orbit(x, cycling, max_orbit, "cycling orbit")
+    if not x.factors:
+        return [x]  # pure Garside powers are fixed by cycling
+    return _walk(x, cycling, max_orbit, "cycling orbit")[0]
 
 
 def decycling_orbit(
     x: NormalForm, max_orbit: int = DEFAULT_MAX_ORBIT
 ) -> list[NormalForm]:
-    return _orbit(x, decycling, max_orbit, "decycling orbit")
-
-
-def _orbit(x, step, max_orbit, what):
     if not x.factors:
-        return [x]  # pure Garside powers are fixed by both operations
-    out = [x]
-    seen = {x}
-    while True:
-        y = step(out[-1])
-        if y in seen:
-            return out
-        seen.add(y)
-        out.append(y)
-        if len(out) > max_orbit:
-            raise ResourceCapExceeded(what, max_orbit)
+        return [x]  # pure Garside powers are fixed by decycling
+    return _walk(x, decycling, max_orbit, "decycling orbit")[0]
 
 
 # ----- transports -------------------------------------------------------

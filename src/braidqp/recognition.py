@@ -3,9 +3,10 @@
 Decides whether a braid lies in (x^k)^G (a single class of k-th powers of an
 atom) or in the product (x^k)^G (y^l)^G, for either Garside structure.  The
 single-class question is answered by pattern-matching the left normal form of
-the element itself; the two-class question slides the element to a sliding
-circuit.  A positive circuit element spells two atoms (k = l = 1) or is tested
-for conjugacy to explicit atom-power products.  A negative one is decided in
+the element itself, with the same shape matcher in both structures; the
+two-class question slides the element to a sliding circuit.  A positive
+circuit element spells two atoms (k = l = 1) or is tested for conjugacy to
+explicit atom-power products.  A negative one is decided in
 the dual structure, where one cycling orbit of a circuit element holds a
 conjugate whose normal form shows the product shape whenever the element lies
 in the product (Orevkov, arXiv:1406.0544): a standard query that passes the
@@ -44,7 +45,13 @@ from .words import (
 
 @dataclass(frozen=True)
 class RecognitionQuery:
-    """Membership query: is the element in (x^k)^G, or (x^k)^G (y^l)^G?"""
+    """Membership query: is the element in (x^k)^G, or (x^k)^G (y^l)^G?
+
+    The atom indices x and y are validated but never change the verdict:
+    every atom is conjugate to every other one, so a witness names whichever
+    atoms it finds.  recognize reads y only to tell one class from two, and
+    a standard two-class query is decided on a dual query with atom 0.
+    """
 
     structure: StructureId
     x: int  # atom index
@@ -138,14 +145,6 @@ def _constant_atom_run(st: GarsideStructure, factors: tuple[Simple, ...]) -> Sim
     return None
 
 
-def _run_candidates(st: GarsideStructure, run: tuple[Simple, ...]) -> list[Simple]:
-    """Standard shape: the atoms x1 may be, given the run of k-1 copies of it."""
-    if not run:
-        return list(st.atoms)
-    x1 = _constant_atom_run(st, run)
-    return [] if x1 is None else [x1]
-
-
 def _ladder_holds(
     st: GarsideStructure, a_factors: tuple[Simple, ...], b_factors: tuple[Simple, ...]
 ) -> bool:
@@ -158,56 +157,58 @@ def _ladder_holds(
     return True
 
 
-def match_power_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | None:
-    """Match the single-class shape against a left normal form.
+def _match_shape(xt: NormalForm, k: int, l: int) -> FormWitness | None:
+    """Read g^{-n} . A_n ... A_1 . x1^k . B_1 ... B_n [. y1^l] off a left normal form.
 
-    Dual: g^{-n} . A_n ... A_1 . x1^k . B_1 ... B_n (n >= 0).
-    Standard: either x1^k, or the same shape with the x-run shortened to
-    k-1 copies and x1 folded into B_1, plus x1 being a suffix of A_1.
+    The x1-run is k whole factors, or, for a single class (l = 0) with
+    n >= 1, k-1 factors with the last x1 fused into B_1 (the left normal
+    form of a conjugate of a standard atom power): the fused form has one
+    factor fewer, so its length tells the two apart.  The y1-run, if any, is
+    l whole factors.  The ladder A_i g^{i-1} B_i = g^i decides; at i = 1 it
+    gives A_1 = complement_inv(x1 B_1) . x1, so x1 ends A_1.
+    """
+    st = xt.structure
+    n = -xt.p
+    factors = xt.factors
+    if n < 0:
+        return None  # inf >= 1: no conjugate of an atom power has that form
+    y1 = None
+    if len(factors) == 2 * n + k + l:
+        x1 = _constant_atom_run(st, factors[n : n + k])
+        y1 = _constant_atom_run(st, factors[2 * n + k :]) if l else None
+        if x1 is None or (l and y1 is None):
+            return None
+        splits = ((x1, factors[n + k : 2 * n + k]),)
+    elif l == 0 and n >= 1 and len(factors) == 2 * n + k - 1:
+        fused = factors[n + k - 1]  # the factor x1 B_1
+        run = factors[n : n + k - 1]
+        x1s = (_constant_atom_run(st, run),) if run else st.atoms
+        splits = (
+            (x1, (st.left_quotient(x1, fused),) + factors[n + k :])
+            for x1 in x1s
+            if x1 is not None and st.is_prefix(x1, fused)
+        )
+    else:
+        return None
+    a_factors = tuple(reversed(factors[:n]))  # (A_1, ..., A_n)
+    for x1, b_factors in splits:
+        if _ladder_holds(st, a_factors, b_factors):
+            return FormWitness(xt, st.nf(0), "input", n, k, x1, a_factors, b_factors, l, y1)
+    return None
+
+
+def match_power_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | None:
+    """Match the single-class shape g^{-n} . A_n ... A_1 . x1^k . B_1 ... B_n.
+
     On two strands, in both structures, the shape is Delta^k itself.
     """
     st = xt.structure
-    k = q.k
-    n = -xt.p
-    identity_conj = st.nf(0)
     if st.ident.strands == 2:
         # the atom is the central Garside element: x1^k is its own class
-        if xt.p != k or xt.factors:
+        if xt.p != q.k or xt.factors:
             return None
-        return FormWitness(xt, identity_conj, "input", 0, k, st.atoms[0], (), ())
-    if n < 0:
-        return None  # inf >= 1: no conjugate of an atom power has that form
-    if n == 0:
-        x1 = _constant_atom_run(st, xt.factors) if len(xt.factors) == k else None
-        if x1 is None:
-            return None
-        return FormWitness(xt, identity_conj, "input", 0, k, x1, (), ())
-    a_factors = tuple(reversed(xt.factors[:n]))  # (A_1, ..., A_n)
-
-    if st.ident.kind is StructureKind.DUAL:
-        if len(xt.factors) != 2 * n + k:
-            return None
-        x1 = _constant_atom_run(st, xt.factors[n : n + k])
-        b_factors = xt.factors[n + k :]
-        if x1 is None or not _ladder_holds(st, a_factors, b_factors):
-            return None
-        return FormWitness(xt, identity_conj, "input", n, k, x1, a_factors, b_factors)
-
-    # standard structure
-    if len(xt.factors) != 2 * n + k - 1:
-        return None
-    fused = xt.factors[n + k - 1]  # the factor x1 B_1
-    rest_b = xt.factors[n + k :]  # B_2 .. B_n
-    for x1 in _run_candidates(st, xt.factors[n : n + k - 1]):
-        if not st.is_prefix(x1, fused):
-            continue
-        if not st.is_suffix(x1, a_factors[0]):  # x1 divides A_1 on the right
-            continue
-        b_factors = (st.left_quotient(x1, fused),) + rest_b
-        if not _ladder_holds(st, a_factors, b_factors):
-            continue
-        return FormWitness(xt, identity_conj, "input", n, k, x1, a_factors, b_factors)
-    return None
+        return FormWitness(xt, st.nf(0), "input", 0, q.k, st.atoms[0], (), ())
+    return _match_shape(xt, q.k, 0)
 
 
 def match_product_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | None:
@@ -217,23 +218,12 @@ def match_product_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | Non
     Standard queries are decided in the dual structure, so only the dual
     shape is matched.
     """
-    st = xt.structure
-    if st.ident.kind is not StructureKind.DUAL:
+    if xt.structure.ident.kind is not StructureKind.DUAL:
         raise ValueError("the two-class shape is matched in the dual structure")
-    assert q.y is not None and q.l is not None
-    k, l = q.k, q.l
-    n = -xt.p
-    if n < 1 or len(xt.factors) != 2 * n + k + l:
-        return None
-    x1 = _constant_atom_run(st, xt.factors[n : n + k])
-    y1 = _constant_atom_run(st, xt.factors[2 * n + k :])
-    if x1 is None or y1 is None:
-        return None
-    a_factors = tuple(reversed(xt.factors[:n]))  # (A_1, ..., A_n)
-    b_factors = xt.factors[n + k : 2 * n + k]
-    if not _ladder_holds(st, a_factors, b_factors):
-        return None
-    return FormWitness(xt, st.nf(0), "input", n, k, x1, a_factors, b_factors, l, y1)
+    assert q.l is not None
+    if xt.p >= 0:
+        return None  # the shape needs n >= 1 here
+    return _match_shape(xt, q.k, q.l)
 
 
 def summit_length_filter(xt: NormalForm, q: RecognitionQuery) -> bool | None:

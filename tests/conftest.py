@@ -249,7 +249,7 @@ def oracle_dual4(dual4):
     return DivisorOracle(dual4)
 
 
-# ----- the standard two-class search, kept as the reference ---------------
+# ----- the standard single-class shape and two-class search, kept as references
 
 
 def _ladder(st: GarsideStructure, a_factors, b_factors) -> bool:
@@ -267,6 +267,35 @@ def _atom_run_candidates(st: GarsideStructure, run: tuple[Simple, ...]) -> list[
     if len(set(run)) == 1 and run[0] in st.atom_index:
         return [run[0]]
     return []
+
+
+def standard_power_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | None:
+    """The standard single-class shape read off a left normal form.
+
+    Either x1^k itself (n = 0), or g^{-n} A_n .. A_1 x1^k B_1 .. B_n with x1
+    fused into B_1, so 2n + k - 1 factors, with x1 a suffix of A_1 tested
+    before the ladder.  Each candidate atom is tried in atom order.
+    """
+    st = xt.structure
+    assert st.ident.kind is StructureKind.STANDARD and st.ident.strands > 2
+    k = q.k
+    n = -xt.p
+    if n < 0:
+        return None
+    if n == 0:
+        x1s = _atom_run_candidates(st, xt.factors) if len(xt.factors) == k else []
+        return FormWitness(xt, st.nf(0), "input", 0, k, x1s[0], (), ()) if x1s else None
+    if len(xt.factors) != 2 * n + k - 1:
+        return None
+    a_factors = tuple(reversed(xt.factors[:n]))  # (A_1, ..., A_n)
+    fused = xt.factors[n + k - 1]  # the factor x1 B_1
+    for x1 in _atom_run_candidates(st, xt.factors[n : n + k - 1]):
+        if not st.is_prefix(x1, fused) or not st.is_suffix(x1, a_factors[0]):
+            continue
+        b_factors = (st.left_quotient(x1, fused),) + xt.factors[n + k :]
+        if _ladder(st, a_factors, b_factors):
+            return FormWitness(xt, st.nf(0), "input", n, k, x1, a_factors, b_factors)
+    return None
 
 
 def standard_product_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | None:

@@ -99,9 +99,11 @@ def test_qp3_command(capsys):
     code, data, _ = run_json(capsys, "qp3", "D^2 -1 -1 -1 -1 -1")
     assert code == 0 and data["verdict"] is False
     assert data["e"] == 1
-    # wrong strand count or structure is an input error
-    code, _, err = run(capsys, "qp3", "-n", "4", "1")
-    assert code == 2 and "error" in err
+    # qp3 works on standard Br_3 only and takes no -n or --structure
+    with pytest.raises(SystemExit) as exc:
+        main(["qp3", "-n", "4", "1"])
+    assert exc.value.code == 2
+    assert "-n" in capsys.readouterr().err
 
 
 def test_text_output_mode(capsys):
@@ -129,21 +131,32 @@ def test_orbit_cap_exits_3(capsys):
     assert code == 3 and "cycling orbit" in err
     code, data, _ = run_json(capsys, *args, "--max-orbit", "12", "-x", "1", "-k", "1", "-y", "1", "-l", "1")
     assert code == 0 and data["verdict"] is False
+    # its sliding-circuits set is that one orbit, which the sc partition walks
+    args = ("sc", "-n", "3", "--structure", "dual", "2 1 -1 2 -1 2")
+    code, _, err = run(capsys, *args, "--max-orbit", "11")
+    assert code == 3 and "cycling orbit" in err
+    code, data, _ = run_json(capsys, *args, "--max-orbit", "12")
+    assert code == 0 and data["orbit_sizes"] == [12]
 
 
-def test_env_var_cap_override(capsys, monkeypatch):
-    monkeypatch.setenv("BRAIDQP_MAX_SC", "1")
-    code, _, err = run(capsys, "sc", "-n", "4", "1 -2 3 -1 2 -3 1 1")
-    assert code == 3
-    # an explicit flag beats the environment
-    monkeypatch.setenv("BRAIDQP_MAX_SC", "1")
-    code, data, _ = run_json(
-        capsys, "sc", "-n", "3", "--max-sc", "100000", "1 2"
-    )
-    assert code == 0
-    monkeypatch.setenv("BRAIDQP_MAX_ORBIT", "nonsense")
-    with pytest.raises(SystemExit):
-        main(["invariants", "-n", "3", "1 2"])
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("nf", ("--max-sc", "--max-orbit")),
+        ("invariants", ("--max-sc",)),
+        ("orbit", ("--max-sc",)),
+        ("qp3", ("--max-sc", "--max-orbit", "--structure", "-n")),
+    ],
+    ids=["nf", "invariants", "orbit", "qp3"],
+)
+def test_subcommands_take_only_the_options_they_read(capsys, command, options):
+    # each value would be valid where the option exists
+    values = {"--structure": "standard", "-n": "3"}
+    for option in options:
+        with pytest.raises(SystemExit) as exc:
+            main([command, option, values.get(option, "100"), "1"])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
 
 
 def test_threads_flag(capsys):

@@ -355,15 +355,39 @@ def test_zero_length_errors_and_fixed_points(std3):
     assert in_sliding_circuit(x)
 
 
-def test_resource_caps(std4):
+def test_resource_caps(std4, fixture16):
     rng = random.Random(107)
     x = random_nf(rng, std4, 8)
     with pytest.raises(ResourceCapExceeded) as err:
         sliding_circuits(x, max_sc=1)
     assert err.value.cap == 1
     y = random_nf(rng, std4, 10)
-    with pytest.raises(ResourceCapExceeded):
-        slide_to_circuit(y, max_orbit=1)
+    # every walk names itself when it runs past the cap
+    for fn, walked, what in (
+        (slide_to_circuit, y, "sliding trajectory"),
+        (in_sliding_circuit, y, "sliding trajectory"),
+        (cycling_orbit, fixture16, "cycling orbit"),
+        (decycling_orbit, fixture16, "decycling orbit"),
+    ):
+        with pytest.raises(ResourceCapExceeded) as err:
+            fn(walked, max_orbit=1)
+        assert (err.value.what, err.value.cap) == (what, 1)
+
+
+@pytest.mark.parametrize("make", [artin_structure, dual_structure])
+def test_in_sliding_circuit_agrees_with_slide_to_circuit(make):
+    rng = random.Random(181)
+    seen = set()
+    for n in (3, 4, 5):
+        st = make(n)
+        for _ in range(40):
+            x = random_nf(rng, st, rng.randrange(1, 12))
+            xt, _ = slide_to_circuit(x)
+            on_circuit = in_sliding_circuit(x)
+            assert on_circuit == (xt == x)
+            assert in_sliding_circuit(xt)
+            seen.add(on_circuit)
+    assert seen == {True, False}
 
 
 def test_structure_mismatch_rejected(std3, std4):

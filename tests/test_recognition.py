@@ -26,7 +26,7 @@ from braidqp import (
     summit_length_filter,
     verify_witness,
 )
-from conftest import random_nf, random_word, standard_sc_search
+from conftest import random_nf, random_word, standard_power_form, standard_sc_search
 
 
 def _conjugated_power(st, rng, atom_idx, k, conj_len=3):
@@ -335,3 +335,34 @@ def test_standard_verdicts_agree_with_sc_search_and_dual(n):
         for original, res in ((x, lib), (x, ref), (xd, dual_res)):
             if res.verdict:
                 assert verify_witness(original, res.witness)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_power_form_matches_standard_reference(n):
+    # match_power_form against the reference standard shape, which tries a
+    # candidate list and tests that x1 ends A_1 before the ladder
+    st = artin_structure(n)
+    rng = random.Random(180 + n)
+    fused_yes = 0
+    for k in range(1, 5):
+        q = RecognitionQuery(st.ident, 0, k)
+        for _ in range(40):
+            c = _artin_word(rng, n, rng.randrange(11))
+            inv = [(i, -s) for i, s in reversed(c)]
+            i, j = rng.randrange(1, n), rng.randrange(1, n)
+            r = rng.randrange(6)
+            signs = [1] * (r + k) + [-1] * r
+            rng.shuffle(signs)
+            for word in (
+                inv + [(i, 1)] * k + c,
+                inv + [(i, 1)] * (k - 1) + [(j, 1)] + c,
+                [(rng.randrange(1, n), s) for s in signs],
+            ):
+                x = _in_structure(st, word)
+                w = match_power_form(x, q)
+                assert w == standard_power_form(x, q), (word, k)
+                if w is not None and w.n >= 1:
+                    # the ladder at i = 1 gives A_1 = complement_inv(x1 B_1) x1
+                    assert st.is_suffix(w.x1, w.a_factors[0])
+                    fused_yes += 1
+    assert fused_yes >= 100
