@@ -4,7 +4,11 @@ Subcommands: nf, invariants, sc, orbit, conjugate, recognize, qp3.  Braid
 words use the grammar of the words module.  Each subcommand takes only the
 options it reads: qp3 works on the standard structure on 3 strands and takes
 neither --structure nor -n, and the caps --max-sc and --max-orbit go to the
-subcommands that enumerate or walk.  Exit codes: 0 on success (a NO
+subcommands that enumerate or walk.  recognize asks whether the word lies
+in the class of k-th atom powers, or, when -l is given, in the product of
+that class and the class of l-th atom powers.  It takes no atom option: every
+atom of Br_n is conjugate to every other one, so which atom a class is named
+by never changes the verdict.  Exit codes: 0 on success (a NO
 verdict is a success), 2 on malformed input (including more than
 MAX_STRANDS strands), 3 when a resource cap is hit or the recursion limit or
 memory runs out.
@@ -27,7 +31,7 @@ from .conjugacy import (
     slide_to_circuit,
     sliding_circuits,
 )
-from .core import GarsideStructure, NormalForm
+from .core import GarsideStructure, NormalForm, Simple
 from .qp3 import qp3, to_pa_form
 from .recognition import (
     RecognitionQuery,
@@ -36,7 +40,6 @@ from .recognition import (
     verify_witness,
 )
 from .words import (
-    BraidWord,
     StructureId,
     StructureKind,
     WordSyntaxError,
@@ -67,26 +70,20 @@ class _Report:
                 print(f"{key}: {value}")
 
 
-def _structure(args: argparse.Namespace) -> GarsideStructure:
+def _element(args: argparse.Namespace, text: str) -> NormalForm:
+    """The normal form of a word over the structure that -n and --structure name."""
     if args.strands > MAX_STRANDS:
         raise ValueError(f"at most {MAX_STRANDS} strands are supported, got {args.strands}")
-    kind = StructureKind(args.structure)
-    return structure_for(StructureId(args.strands, kind))
-
-
-def _parse(st: GarsideStructure, text: str) -> BraidWord:
-    return parse_word(text, st.ident)
-
-
-def _atom_index(st: GarsideStructure, token: str) -> int:
-    w = parse_word(token, st.ident)
-    if len(w.letters) != 1 or w.g != 0 or w.letters[0][1] != 1:
-        raise WordSyntaxError(f"{token!r} is not a single atom", 1)
-    return w.letters[0][0]
+    st = structure_for(StructureId(args.strands, StructureKind(args.structure)))
+    return st.nf_from_word(parse_word(text, st.ident))
 
 
 def _nf_text(st: GarsideStructure, x: NormalForm) -> str:
     return word_to_text(st.nf_to_word(x))
+
+
+def _simple_texts(st: GarsideStructure, simples: tuple[Simple, ...]) -> list[str]:
+    return [_nf_text(st, st.nf_of_simple(s)) for s in simples]
 
 
 def _cycling_orbit_sizes(elements: dict[NormalForm, NormalForm], max_orbit: int) -> list[int]:
@@ -101,10 +98,10 @@ def _cycling_orbit_sizes(elements: dict[NormalForm, NormalForm], max_orbit: int)
 
 
 def _cmd_nf(args: argparse.Namespace, report: _Report) -> int:
-    st = _structure(args)
-    x = st.nf_from_word(_parse(st, args.word))
+    x = _element(args, args.word)
+    st = x.structure
     report.add("p", x.p)
-    report.add("factors", [word_to_text(st.nf_to_word(st.nf_of_simple(f))) for f in x.factors])
+    report.add("factors", _simple_texts(st, x.factors))
     report.add("inf", x.inf)
     report.add("canonical_length", x.canonical_length)
     report.add("sup", x.sup)
@@ -113,8 +110,7 @@ def _cmd_nf(args: argparse.Namespace, report: _Report) -> int:
 
 
 def _cmd_invariants(args: argparse.Namespace, report: _Report) -> int:
-    st = _structure(args)
-    x = st.nf_from_word(_parse(st, args.word))
+    x = _element(args, args.word)
     xt, _ = slide_to_circuit(x, args.max_orbit)
     report.add("inf_s", xt.inf)
     report.add("ell_s", xt.canonical_length)
@@ -123,8 +119,7 @@ def _cmd_invariants(args: argparse.Namespace, report: _Report) -> int:
 
 
 def _cmd_sc(args: argparse.Namespace, report: _Report) -> int:
-    st = _structure(args)
-    x = st.nf_from_word(_parse(st, args.word))
+    x = _element(args, args.word)
     sc = sliding_circuits(x, args.max_sc, args.max_orbit)
     report.add("sc_size", len(sc))
     report.add("arrows", len(sc.arrows))
@@ -137,8 +132,7 @@ def _cmd_sc(args: argparse.Namespace, report: _Report) -> int:
 
 
 def _cmd_orbit(args: argparse.Namespace, report: _Report) -> int:
-    st = _structure(args)
-    x = st.nf_from_word(_parse(st, args.word))
+    x = _element(args, args.word)
     xt, _ = slide_to_circuit(x, args.max_orbit)
     report.add("cycling_orbit", len(cycling_orbit(xt, args.max_orbit)))
     report.add("decycling_orbit", len(decycling_orbit(xt, args.max_orbit)))
@@ -146,27 +140,19 @@ def _cmd_orbit(args: argparse.Namespace, report: _Report) -> int:
 
 
 def _cmd_conjugate(args: argparse.Namespace, report: _Report) -> int:
-    st = _structure(args)
-    x = st.nf_from_word(_parse(st, args.word))
-    y = st.nf_from_word(_parse(st, args.other))
+    x = _element(args, args.word)
+    y = _element(args, args.other)
     ok, conj = are_conjugate(x, y, args.max_sc, args.max_orbit)
     report.add("verdict", ok)
     if conj is not None:
-        report.add("conjugator", _nf_text(st, conj))
+        report.add("conjugator", _nf_text(x.structure, conj))
     return 0
 
 
 def _cmd_recognize(args: argparse.Namespace, report: _Report) -> int:
-    st = _structure(args)
-    word = _parse(st, args.word)
-    q = RecognitionQuery(
-        st.ident,
-        _atom_index(st, args.x),
-        args.k,
-        _atom_index(st, args.y) if args.y is not None else None,
-        args.l,
-    )
-    x = st.nf_from_word(word)
+    x = _element(args, args.word)
+    st = x.structure
+    q = RecognitionQuery(st.ident, 0, args.k, None if args.l is None else 0, args.l)
     result = recognize(x, q, args.max_sc, args.max_orbit)
     report.add("verdict", result.verdict)
     if result.witness is not None:
@@ -177,12 +163,8 @@ def _cmd_recognize(args: argparse.Namespace, report: _Report) -> int:
             "element": _nf_text(st, w.element),
             "conjugator": _nf_text(st, w.conjugator),
             "x1": st.ident.atom_name(st.atom_index[w.x1]),
-            "a_factors": [
-                word_to_text(st.nf_to_word(st.nf_of_simple(f))) for f in w.a_factors
-            ],
-            "b_factors": [
-                word_to_text(st.nf_to_word(st.nf_of_simple(f))) for f in w.b_factors
-            ],
+            "a_factors": _simple_texts(st, w.a_factors),
+            "b_factors": _simple_texts(st, w.b_factors),
         }
         if w.y1 is not None:
             witness["y1"] = st.ident.atom_name(st.atom_index[w.y1])
@@ -235,10 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("word")
     commands["conjugate"].add_argument("other")
     p = commands["recognize"]
-    p.add_argument("-x", required=True, help="atom token, e.g. 1 or a31")
-    p.add_argument("-k", type=int, required=True)
-    p.add_argument("-y", default=None)
-    p.add_argument("-l", type=int, default=None)
+    p.add_argument("-k", type=int, required=True, help="power of the first class")
+    p.add_argument(
+        "-l", type=int, default=None, help="power of the second class, if there is one"
+    )
     p.add_argument(
         "--verify",
         action="store_true",

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .core import GarsideStructure, NormalForm, Simple
+from .core import NormalForm, Simple
 
 DEFAULT_MAX_SC = 100_000
 DEFAULT_MAX_ORBIT = 100_000
@@ -57,7 +57,8 @@ def final_factor(x: NormalForm) -> Simple:
 
 def cycling(x: NormalForm) -> NormalForm:
     """Conjugate by the initial factor: move A_1 to the end."""
-    _require_positive_length(x)
+    if not x.factors:
+        return x  # pure Garside powers are fixed points
     st = x.structure
     rest = st.nf(x.p, x.factors[1:])
     return st.nf_right_multiply(rest, initial_factor(x))
@@ -65,7 +66,8 @@ def cycling(x: NormalForm) -> NormalForm:
 
 def decycling(x: NormalForm) -> NormalForm:
     """Conjugate by the inverse of the final factor: move A_r to the front."""
-    _require_positive_length(x)
+    if not x.factors:
+        return x  # pure Garside powers are fixed points
     st = x.structure
     rest = st.nf(x.p, x.factors[:-1])
     return st.nf_left_multiply(x.factors[-1], rest)
@@ -134,29 +136,13 @@ def cycling_orbit(
     x: NormalForm, max_orbit: int = DEFAULT_MAX_ORBIT
 ) -> list[NormalForm]:
     """The trajectory of iterated cycling from x up to the first repeat."""
-    if not x.factors:
-        return [x]  # pure Garside powers are fixed by cycling
     return _walk(x, cycling, max_orbit, "cycling orbit")[0]
 
 
 def decycling_orbit(
     x: NormalForm, max_orbit: int = DEFAULT_MAX_ORBIT
 ) -> list[NormalForm]:
-    if not x.factors:
-        return [x]  # pure Garside powers are fixed by decycling
     return _walk(x, decycling, max_orbit, "decycling orbit")[0]
-
-
-# ----- transports -------------------------------------------------------
-
-
-def sliding_transport(y: NormalForm, u: NormalForm) -> NormalForm:
-    """Conjugator u transported along one cyclic-sliding step on both sides."""
-    st = y.structure
-    yu = st.nf_conjugate(y, u)
-    t = st.nf_inverse(st.nf_of_simple(preferred_prefix(y)))
-    t = st.nf_multiply(t, u)
-    return st.nf_right_multiply(t, preferred_prefix(yu))
 
 
 # ----- the sliding-circuits set -----------------------------------------
@@ -219,18 +205,17 @@ class Arrow:
 
 @dataclass
 class SlidingCircuits:
-    """The sliding-circuits set of a conjugacy class, with witnesses."""
+    """The sliding-circuits set of a conjugacy class, with witnesses.
 
-    structure: GarsideStructure
-    base: NormalForm  # the input element all witnesses start from
+    ``elements`` maps each element to a witness that conjugates the input
+    onto it; ``arrows`` are the minimal conjugations found between them.
+    """
+
     elements: dict[NormalForm, NormalForm] = field(default_factory=dict)
     arrows: list[Arrow] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, x: NormalForm) -> bool:
-        return x in self.elements
 
 
 def sliding_circuits(
@@ -241,7 +226,7 @@ def sliding_circuits(
     """Enumerate the whole sliding-circuits set of the class of x."""
     st = x.structure
     rep, w0 = slide_to_circuit(x, max_orbit)
-    sc = SlidingCircuits(st, x)
+    sc = SlidingCircuits()
     sc.elements[rep] = w0
     frontier = [rep]
     while frontier:

@@ -102,21 +102,9 @@ class GarsideStructure(ABC):
         q = mult(inverse_perm(a), b)
         return self.is_simple_payload(q) and self.norm(a) + self.norm(q) == self.norm(b)
 
-    def is_suffix(self, a: Simple, b: Simple) -> bool:
-        """a divides b on the right within the simple interval."""
-        q = mult(b, inverse_perm(a))
-        return self.is_simple_payload(q) and self.norm(a) + self.norm(q) == self.norm(b)
-
     def left_quotient(self, a: Simple, b: Simple) -> Simple:
         """The simple a^{-1} b; caller guarantees a is a prefix of b."""
         return mult(inverse_perm(a), b)
-
-    def right_quotient(self, b: Simple, a: Simple) -> Simple:
-        """The simple b a^{-1}; caller guarantees a is a suffix of b."""
-        return mult(b, inverse_perm(a))
-
-    def atom_suffix(self, atom: int, s: Simple) -> bool:
-        return self.is_suffix(self.atoms[atom], s)
 
     @functools.cached_property
     def all_simples(self) -> tuple[Simple, ...]:
@@ -155,21 +143,7 @@ class GarsideStructure(ABC):
         d = self.delta_power(k)
         return mult(mult(inverse_perm(d), a), d)
 
-    # ----- atom sets ----------------------------------------------------
-
-    def starting_set(self, a: Simple) -> frozenset[int]:
-        return frozenset(i for i in range(len(self.atoms)) if self.atom_prefix(i, a))
-
-    def finishing_set(self, a: Simple) -> frozenset[int]:
-        return frozenset(i for i in range(len(self.atoms)) if self.atom_suffix(i, a))
-
-    def right_complementary_set(self, a: Simple) -> frozenset[int]:
-        return self.starting_set(self.complement(a))
-
-    def left_complementary_set(self, a: Simple) -> frozenset[int]:
-        return self.finishing_set(self.complement_inv(a))
-
-    # ----- local sliding and left weightedness --------------------------
+    # ----- local sliding ------------------------------------------------
 
     def local_sliding(self, u: Simple, v: Simple) -> tuple[Simple, Simple]:
         """Shift the largest slice of v that still fits after u to the left."""
@@ -177,9 +151,6 @@ class GarsideStructure(ABC):
         if s == self.identity:
             return u, v
         return mult(u, s), self.left_quotient(s, v)
-
-    def is_left_weighted(self, u: Simple, v: Simple) -> bool:
-        return self.meet(v, self.complement(u)) == self.identity
 
     # ----- normal forms -------------------------------------------------
 
@@ -309,17 +280,6 @@ class GarsideStructure(ABC):
             else:
                 raise ValueError("payload is not a simple element")
         return tuple(out)
-
-    def nf_validate(self, x: NormalForm) -> None:
-        """Assert the normal-form invariants; used by the test suite."""
-        for f in x.factors:
-            if f == self.identity or f == self.delta:
-                raise AssertionError("factor outside the open simple interval")
-            if not self.is_simple_payload(f):
-                raise AssertionError("factor payload is not simple")
-        for u, v in zip(x.factors, x.factors[1:]):
-            if not self.is_left_weighted(u, v):
-                raise AssertionError("consecutive factors are not left weighted")
 
     def nf_algebraic_length(self, x: NormalForm) -> int:
         return x.p * self.norm(self.delta) + sum(self.norm(f) for f in x.factors)

@@ -73,10 +73,6 @@ class DualStructure(GarsideStructure):
             atoms.append(tuple(a))
         return tuple(atoms)
 
-    def band_atom(self, t: int, s: int) -> Simple:
-        """The band generator a_{ts} swapping strands t > s."""
-        return self.atoms[self.ident.atom_index_of_band(t, s)]
-
     def norm(self, s: Simple) -> int:
         return len(s) - len(cycles_of(s))
 

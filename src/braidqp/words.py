@@ -126,22 +126,6 @@ class BraidWord:
             if sign not in (1, -1):
                 raise ValueError(f"letter exponent must be +-1, got {sign}")
 
-    def __mul__(self, other: BraidWord) -> BraidWord:
-        if other.structure != self.structure:
-            raise ValueError("cannot multiply words over different structures")
-        # u * D^g * v = D^g * twist^g(u) * v
-        twisted = tuple(
-            (self.structure.twist_atom(i, other.g), sign) for i, sign in self.letters
-        )
-        return BraidWord(self.structure, self.g + other.g, twisted + other.letters)
-
-    def inverse(self) -> BraidWord:
-        twisted = tuple(
-            (self.structure.twist_atom(i, -self.g), -sign)
-            for i, sign in reversed(self.letters)
-        )
-        return BraidWord(self.structure, -self.g, twisted)
-
 
 class WordSyntaxError(ValueError):
     """Raised on malformed word text; carries the offending token position."""

@@ -10,6 +10,7 @@ import pytest
 
 from braidqp import (
     BraidWord,
+    DualStructure,
     FormWitness,
     GarsideStructure,
     NormalForm,
@@ -21,6 +22,7 @@ from braidqp import (
     dual_structure,
     inverse_perm,
     mult,
+    preferred_prefix,
     slide_to_circuit,
     sliding_circuits,
     summit_length_filter,
@@ -69,6 +71,82 @@ def random_nf(
     rng: random.Random, st: GarsideStructure, length: int, signed: bool = True
 ) -> NormalForm:
     return st.nf_from_word(random_word(rng, st, length, signed))
+
+
+# ----- divisibility, atom sets and word algebra that only the tests use
+
+
+def is_suffix(st: GarsideStructure, a: Simple, b: Simple) -> bool:
+    """a divides b on the right within the simple interval."""
+    q = mult(b, inverse_perm(a))
+    return st.is_simple_payload(q) and st.norm(a) + st.norm(q) == st.norm(b)
+
+
+def right_quotient(st: GarsideStructure, b: Simple, a: Simple) -> Simple:
+    """The simple b a^{-1}; the caller guarantees a is a suffix of b."""
+    return mult(b, inverse_perm(a))
+
+
+def atom_suffix(st: GarsideStructure, atom: int, s: Simple) -> bool:
+    return is_suffix(st, st.atoms[atom], s)
+
+
+def starting_set(st: GarsideStructure, a: Simple) -> frozenset[int]:
+    return frozenset(i for i in range(len(st.atoms)) if st.atom_prefix(i, a))
+
+
+def finishing_set(st: GarsideStructure, a: Simple) -> frozenset[int]:
+    return frozenset(i for i in range(len(st.atoms)) if atom_suffix(st, i, a))
+
+
+def right_complementary_set(st: GarsideStructure, a: Simple) -> frozenset[int]:
+    return starting_set(st, st.complement(a))
+
+
+def left_complementary_set(st: GarsideStructure, a: Simple) -> frozenset[int]:
+    return finishing_set(st, st.complement_inv(a))
+
+
+def is_left_weighted(st: GarsideStructure, u: Simple, v: Simple) -> bool:
+    return st.meet(v, st.complement(u)) == st.identity
+
+
+def nf_validate(st: GarsideStructure, x: NormalForm) -> None:
+    """Assert the normal-form invariants."""
+    for f in x.factors:
+        assert f != st.identity and f != st.delta, "factor outside the open simple interval"
+        assert st.is_simple_payload(f), "factor payload is not simple"
+    for u, v in zip(x.factors, x.factors[1:]):
+        assert is_left_weighted(st, u, v), "consecutive factors are not left weighted"
+
+
+def band_atom(st: DualStructure, t: int, s: int) -> Simple:
+    """The band generator a_{ts} swapping strands t > s."""
+    return st.atoms[st.ident.atom_index_of_band(t, s)]
+
+
+def word_product(u: BraidWord, v: BraidWord) -> BraidWord:
+    if u.structure != v.structure:
+        raise ValueError("cannot multiply words over different structures")
+    # u * D^g * v = D^g * twist^g(u) * v
+    twisted = tuple((u.structure.twist_atom(i, v.g), sign) for i, sign in u.letters)
+    return BraidWord(u.structure, u.g + v.g, twisted + v.letters)
+
+
+def word_inverse(w: BraidWord) -> BraidWord:
+    twisted = tuple(
+        (w.structure.twist_atom(i, -w.g), -sign) for i, sign in reversed(w.letters)
+    )
+    return BraidWord(w.structure, -w.g, twisted)
+
+
+def sliding_transport(y: NormalForm, u: NormalForm) -> NormalForm:
+    """Conjugator u transported along one cyclic-sliding step on both sides."""
+    st = y.structure
+    yu = st.nf_conjugate(y, u)
+    t = st.nf_inverse(st.nf_of_simple(preferred_prefix(y)))
+    t = st.nf_multiply(t, u)
+    return st.nf_right_multiply(t, preferred_prefix(yu))
 
 
 def greedy_meet(st: GarsideStructure, a: Simple, b: Simple) -> Simple:
@@ -290,7 +368,7 @@ def standard_power_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | No
     a_factors = tuple(reversed(xt.factors[:n]))  # (A_1, ..., A_n)
     fused = xt.factors[n + k - 1]  # the factor x1 B_1
     for x1 in _atom_run_candidates(st, xt.factors[n : n + k - 1]):
-        if not st.is_prefix(x1, fused) or not st.is_suffix(x1, a_factors[0]):
+        if not st.is_prefix(x1, fused) or not is_suffix(st, x1, a_factors[0]):
             continue
         b_factors = (st.left_quotient(x1, fused),) + xt.factors[n + k :]
         if _ladder(st, a_factors, b_factors):
@@ -322,16 +400,16 @@ def standard_product_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | 
     if n == 1:
         fused = xt.factors[k]  # the factor x1 B_1 y1
         for x1 in x_candidates:
-            if not st.is_prefix(x1, fused) or not st.is_suffix(x1, a_factors[0]):
+            if not st.is_prefix(x1, fused) or not is_suffix(st, x1, a_factors[0]):
                 continue
             rest = st.left_quotient(x1, fused)
             for y1 in y_candidates:
-                if not st.is_suffix(y1, rest):
+                if not is_suffix(st, y1, rest):
                     continue
                 # A_1 = tau^{-1}(y1) A''_1 x1
-                if not st.is_prefix(st.tau(y1, -1), st.right_quotient(a_factors[0], x1)):
+                if not st.is_prefix(st.tau(y1, -1), right_quotient(st, a_factors[0], x1)):
                     continue
-                b1 = st.right_quotient(rest, y1)
+                b1 = right_quotient(st, rest, y1)
                 if _ladder(st, a_factors, (b1,)):
                     return found(x1, (b1,), y1)
         return None
@@ -340,13 +418,13 @@ def standard_product_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | 
     tail = xt.factors[2 * n + k - 2]  # the factor B_n y1
     mid_b = xt.factors[n + k : 2 * n + k - 2]  # B_2 .. B_{n-1}
     for x1 in x_candidates:
-        if not st.is_prefix(x1, head) or not st.is_suffix(x1, a_factors[0]):
+        if not st.is_prefix(x1, head) or not is_suffix(st, x1, a_factors[0]):
             continue
         b1 = st.left_quotient(x1, head)
         for y1 in y_candidates:
-            if not st.is_suffix(y1, tail) or not st.is_prefix(st.tau(y1, -n), a_factors[-1]):
+            if not is_suffix(st, y1, tail) or not st.is_prefix(st.tau(y1, -n), a_factors[-1]):
                 continue
-            b_factors = (b1,) + mid_b + (st.right_quotient(tail, y1),)
+            b_factors = (b1,) + mid_b + (right_quotient(st, tail, y1),)
             if _ladder(st, a_factors, b_factors):
                 return found(x1, b_factors, y1)
     return None

@@ -29,7 +29,7 @@ from braidqp import (
     to_pa_form,
     verify_witness,
 )
-from conftest import random_nf, random_word
+from conftest import band_atom, nf_validate, random_nf, random_word
 
 # the reference Br_4 braid: the fourth power of the full twist times the
 # inverse of a fixed 23-letter word
@@ -72,15 +72,15 @@ def test_criterion_3_reference_fixture():
     st = dual_structure(4)
     x = st.nf_from_word(parse_word("D^-1 b a 1 2 a b", st.ident))
     expected = (
-        st.band_atom(4, 2),
-        st.band_atom(3, 1),
-        st.band_atom(2, 1),
-        st.band_atom(3, 2),
-        st.band_atom(3, 1),
-        st.band_atom(4, 2),
+        band_atom(st, 4, 2),
+        band_atom(st, 3, 1),
+        band_atom(st, 2, 1),
+        band_atom(st, 3, 2),
+        band_atom(st, 3, 1),
+        band_atom(st, 4, 2),
     )
     assert x.p == -1 and x.factors == expected
-    st.nf_validate(x)
+    nf_validate(st, x)
     from braidqp import cyclic_sliding
 
     assert cyclic_sliding(x) == x  # rigid
@@ -102,9 +102,9 @@ def test_criterion_4_reference_witness():
     assert res.verdict and res.witness is not None
     w = res.witness
     assert w.n == 1
-    assert w.a_factors == (st.band_atom(4, 2),)  # A_1 = a42
+    assert w.a_factors == (band_atom(st, 4, 2),)  # A_1 = a42
     sigma1_sigma3 = st.nf_multiply(
-        st.nf_of_simple(st.band_atom(2, 1)), st.nf_of_simple(st.band_atom(4, 3))
+        st.nf_of_simple(band_atom(st, 2, 1)), st.nf_of_simple(band_atom(st, 4, 3))
     ).factors[0]
     assert w.b_factors == (sigma1_sigma3,)  # B_1 = the commuting band pair
     assert verify_witness(x, w)

@@ -5,6 +5,12 @@ from __future__ import annotations
 import itertools
 
 from braidqp import BraidWord, artin_structure, mult
+from conftest import (
+    finishing_set,
+    left_complementary_set,
+    right_complementary_set,
+    starting_set,
+)
 
 
 def _positive_nf(st, letters):
@@ -39,16 +45,16 @@ def test_starting_set_complements_left_set(std4):
     # cannot be prepended, and dually for the finishing atoms
     atoms = frozenset(range(3))
     for w in std4.all_simples:
-        assert std4.starting_set(w) == atoms - std4.left_complementary_set(w)
-        assert std4.finishing_set(w) == atoms - std4.right_complementary_set(w)
+        assert starting_set(std4, w) == atoms - left_complementary_set(std4, w)
+        assert finishing_set(std4, w) == atoms - right_complementary_set(std4, w)
 
 
 def test_complementary_sets_of_a_factorisation_of_delta(std4):
     # when AB = Delta: S(B) = R(A) and F(A) = L(B)
     for a in std4.all_simples:
         b = std4.complement(a)
-        assert std4.starting_set(b) == std4.right_complementary_set(a)
-        assert std4.finishing_set(a) == std4.left_complementary_set(b)
+        assert starting_set(std4, b) == right_complementary_set(std4, a)
+        assert finishing_set(std4, a) == left_complementary_set(std4, b)
 
 
 def _simple_iff_square_free_words(st, max_len):

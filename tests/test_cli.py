@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from braidqp.cli import main
 
@@ -72,11 +75,7 @@ def test_recognize_command_with_verification(capsys):
         "--structure",
         "dual",
         "D^-1 b a 1 3 2",
-        "-x",
-        "1",
         "-k",
-        "1",
-        "-y",
         "1",
         "-l",
         "1",
@@ -88,7 +87,7 @@ def test_recognize_command_with_verification(capsys):
     assert data["witness_verified"] is True
     # a NO verdict still exits 0
     code, data, _ = run_json(
-        capsys, "recognize", "-n", "3", "1 1 1", "-x", "1", "-k", "2"
+        capsys, "recognize", "-n", "3", "1 1 1", "-k", "2"
     )
     assert code == 0 and data["verdict"] is False
 
@@ -115,8 +114,8 @@ def test_text_output_mode(capsys):
 def test_malformed_word_exits_2(capsys):
     code, _, err = run(capsys, "nf", "-n", "3", "1 0 2")
     assert code == 2 and "error" in err
-    code, _, err = run(capsys, "recognize", "-n", "3", "1", "-x", "1 2", "-k", "1")
-    assert code == 2
+    code, _, err = run(capsys, "recognize", "-n", "3", "1 0", "-k", "1")
+    assert code == 2 and "error" in err
 
 
 def test_resource_cap_exits_3(capsys):
@@ -127,9 +126,9 @@ def test_resource_cap_exits_3(capsys):
 def test_orbit_cap_exits_3(capsys):
     # the braid lies on its sliding circuit; its cycling orbit has 12 elements
     args = ("recognize", "-n", "3", "--structure", "dual", "2 1 -1 2 -1 2")
-    code, _, err = run(capsys, *args, "--max-orbit", "1", "-x", "1", "-k", "1", "-y", "1", "-l", "1")
+    code, _, err = run(capsys, *args, "--max-orbit", "1", "-k", "1", "-l", "1")
     assert code == 3 and "cycling orbit" in err
-    code, data, _ = run_json(capsys, *args, "--max-orbit", "12", "-x", "1", "-k", "1", "-y", "1", "-l", "1")
+    code, data, _ = run_json(capsys, *args, "--max-orbit", "12", "-k", "1", "-l", "1")
     assert code == 0 and data["verdict"] is False
     # its sliding-circuits set is that one orbit, which the sc partition walks
     args = ("sc", "-n", "3", "--structure", "dual", "2 1 -1 2 -1 2")
@@ -146,15 +145,17 @@ def test_orbit_cap_exits_3(capsys):
         ("invariants", ("--max-sc",)),
         ("orbit", ("--max-sc",)),
         ("qp3", ("--max-sc", "--max-orbit", "--structure", "-n")),
+        ("recognize", ("-x", "-y")),
     ],
-    ids=["nf", "invariants", "orbit", "qp3"],
+    ids=["nf", "invariants", "orbit", "qp3", "recognize"],
 )
 def test_subcommands_take_only_the_options_they_read(capsys, command, options):
     # each value would be valid where the option exists
-    values = {"--structure": "standard", "-n": "3"}
+    values = {"--structure": "standard", "-n": "3", "-x": "1", "-y": "1"}
+    required = {"recognize": ["-k", "1"]}.get(command, [])
     for option in options:
         with pytest.raises(SystemExit) as exc:
-            main([command, option, values.get(option, "100"), "1"])
+            main([command, *required, option, values.get(option, "100"), "1"])
         assert exc.value.code == 2
         assert option in capsys.readouterr().err
 
@@ -168,7 +169,7 @@ def test_threads_flag(capsys):
 
 
 def test_standard_single_class_with_positive_inf(capsys):
-    code, data, _ = run_json(capsys, "recognize", "-n", "3", "D", "-x", "1", "-k", "3")
+    code, data, _ = run_json(capsys, "recognize", "-n", "3", "D", "-k", "3")
     assert code == 0 and data["verdict"] is False
 
 
@@ -197,7 +198,70 @@ def test_recursion_error_exits_3(capsys, monkeypatch):
 @pytest.mark.parametrize("structure", ["standard", "dual"])
 def test_two_strand_recognize(capsys, structure):
     args = ("recognize", "-n", "2", "--structure", structure)
-    code, data, _ = run_json(capsys, *args, "1 1 1", "-x", "1", "-k", "3", "--verify")
+    code, data, _ = run_json(capsys, *args, "1 1 1", "-k", "3", "--verify")
     assert code == 0 and data["verdict"] is True and data["witness_verified"] is True
-    code, data, _ = run_json(capsys, *args, "1 1", "-x", "1", "-k", "3")
+    code, data, _ = run_json(capsys, *args, "1 1", "-k", "3")
     assert code == 0 and data["verdict"] is False
+
+
+# Words of up to 8 tokens of the grammar, which hold on some strand counts
+# and not on others, and in half of them one token no grammar rule accepts.
+# Exponents stay at most 3: a word such as 1^999999999 stalls, and so does sc
+# past small n.
+_NAMES = {
+    "standard": ("D", "d", "s1", "s2", "s4"),
+    "dual": ("D", "d", "s0", "s1", "s4", "a", "b", "a21", "a31", "a42", "a53"),
+}
+_JUNK = ("0", "x", "a1", "s", "^", "1^", "D^x", "--", "#", "1.5", "a^^2")
+
+
+@hs.composite
+def _word(draw, structure):
+    name = hs.tuples(hs.sampled_from(_NAMES[structure]), hs.none() | hs.integers(-3, 3))
+    token = hs.one_of(
+        hs.integers(1, 4).map(str),
+        hs.integers(-4, -1).map(str),
+        name.map(lambda t: t[0] if t[1] is None else f"{t[0]}^{t[1]}"),
+    )
+    tokens = draw(hs.lists(token, max_size=8))
+    if draw(hs.booleans()):
+        tokens.insert(draw(hs.integers(0, len(tokens))), draw(hs.sampled_from(_JUNK)))
+    return " ".join(tokens[:8])
+
+
+@hs.composite
+def _argv(draw):
+    command = draw(hs.sampled_from(("nf", "invariants", "sc", "orbit", "conjugate", "recognize", "qp3")))
+    structure = "standard" if command == "qp3" else draw(hs.sampled_from(("standard", "dual")))
+    argv = [command]
+    if command != "qp3":
+        n = draw(hs.sampled_from((3, 4, 5, 2, 1, 0, -1)))
+        argv += ["-n", str(n), "--structure", structure]
+    if command in ("sc", "conjugate", "recognize"):
+        argv += ["--max-sc", str(draw(hs.integers(-1, 20)))]
+    if command not in ("nf", "qp3"):
+        argv += ["--max-orbit", str(draw(hs.integers(-1, 20)))]
+    if command == "recognize":
+        argv += ["-k", str(draw(hs.sampled_from((1, 2, 3, 0, -1))))]
+        l = draw(hs.sampled_from((None, 1, 2, 3, 0, -1)))
+        argv += [] if l is None else ["-l", str(l)]
+        argv += ["--verify"] if draw(hs.booleans()) else []
+    if draw(hs.booleans()):
+        argv.append("--json")
+    argv.append(draw(_word(structure)))
+    if command == "conjugate":
+        argv.append(draw(_word(structure)))
+    return argv
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_argv())
+def test_cli_fuzz_exits_0_2_or_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the argument list
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from braidqp import (
+    BraidWord,
     ResourceCapExceeded,
     are_conjugate,
     artin_structure,
@@ -24,9 +25,16 @@ from braidqp import (
     preferred_prefix,
     slide_to_circuit,
     sliding_circuits,
+)
+from conftest import (
+    band_atom,
+    conjugate_reference,
+    is_left_weighted,
+    nf_validate,
+    random_nf,
+    random_word,
     sliding_transport,
 )
-from conftest import conjugate_reference, random_nf
 
 
 @pytest.fixture(scope="module")
@@ -38,14 +46,14 @@ def fixture16(dual4):
 def test_fixture_normal_form(dual4):
     # the written 6-factor decomposition is already the left normal form
     st = dual4
-    b = st.band_atom(4, 2)
-    a = st.band_atom(3, 1)
-    s1 = st.band_atom(2, 1)
-    s2 = st.band_atom(3, 2)
+    b = band_atom(st, 4, 2)
+    a = band_atom(st, 3, 1)
+    s1 = band_atom(st, 2, 1)
+    s2 = band_atom(st, 3, 2)
     x = st.nf_from_word(parse_word("D^-1 b a 1 2 a b", st.ident))
     assert x.p == -1
     assert x.factors == (b, a, s1, s2, a, b)
-    st.nf_validate(x)
+    nf_validate(st, x)
 
 
 def test_fixture_rigid_and_periodic(dual4, fixture16):
@@ -112,7 +120,7 @@ def test_sc_arrows_dichotomy(std4, dual4, fixture16):
             phi = final_factor(arrow.source)
             product = st.nf_right_multiply(st.nf_of_simple(phi), arrow.conjugator)
             is_simple_product = product.p >= 0 and product.sup <= 1
-            weighted = st.is_left_weighted(phi, arrow.conjugator)
+            weighted = is_left_weighted(st, phi, arrow.conjugator)
             assert is_simple_product != weighted
 
 
@@ -344,15 +352,40 @@ def test_are_conjugate(std3):
 def test_zero_length_errors_and_fixed_points(std3):
     st = std3
     x = st.nf(2)
-    for fn in (initial_factor, final_factor, cycling, decycling, preferred_prefix):
+    for fn in (initial_factor, final_factor, preferred_prefix):
         with pytest.raises(ValueError):
             fn(x)
+    assert cycling(x) == decycling(x) == x
     assert cyclic_sliding(x) == x
     assert cycling_orbit(x) == [x]
     assert decycling_orbit(x) == [x]
     z, c = slide_to_circuit(x)
     assert z == x and c.is_identity()
     assert in_sliding_circuit(x)
+
+
+def test_orbits_end_at_a_pure_garside_power(std3):
+    # D^-2 2 1 1 cycles and decycles to D^-1, a fixed point of both
+    st = std3
+    x = st.nf_from_word(parse_word("D^-2 2 1 1", st.ident))
+    for orbit, step in ((cycling_orbit, cycling), (decycling_orbit, decycling)):
+        walk = orbit(x)
+        assert len(walk) == 2
+        assert not walk[-1].factors and step(walk[-1]) == walk[-1]
+
+
+@pytest.mark.parametrize("make", [artin_structure, dual_structure])
+def test_orbits_are_total_with_garside_powers(make):
+    rng = random.Random(113)
+    for n in (3, 4, 5):
+        st = make(n)
+        for _ in range(30):
+            w = random_word(rng, st, rng.randrange(7))
+            x = st.nf_from_word(BraidWord(st.ident, rng.randint(-3, 1), w.letters))
+            for orbit, step in ((cycling_orbit, cycling), (decycling_orbit, decycling)):
+                walk = orbit(x)
+                assert walk[0] == x and len(set(walk)) == len(walk)
+                assert step(walk[-1]) in walk
 
 
 def test_resource_caps(std4, fixture16):

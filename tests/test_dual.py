@@ -9,7 +9,14 @@ import pytest
 
 from braidqp import dual_structure, initial_factor, mult
 from braidqp.dual import cycles_of, is_noncrossing_ascending
-from conftest import random_nf
+from conftest import (
+    atom_suffix,
+    is_left_weighted,
+    is_suffix,
+    nf_validate,
+    random_nf,
+    starting_set,
+)
 
 
 def catalan(n):
@@ -49,7 +56,7 @@ def test_symmetry(n):
     st = dual_structure(n)
     for a in st.all_simples:
         for b in st.all_simples:
-            assert st.is_prefix(a, b) == st.is_suffix(a, b)
+            assert st.is_prefix(a, b) == is_suffix(st, a, b)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -96,7 +103,7 @@ def test_atom_commutes_past_simple(dual4):
             )
     for i, x in enumerate(st.atoms):
         for A in st.all_simples:
-            if not st.atom_suffix(i, A):
+            if not atom_suffix(st, i, A):
                 continue
             rhs = st.nf_right_multiply(st.nf_of_simple(A), x)
             assert any(
@@ -112,7 +119,7 @@ def test_simple_is_join_of_starting_atoms(n):
         if A == st.identity:
             continue
         out = st.identity
-        for i in st.starting_set(A):
+        for i in starting_set(st, A):
             out = st.join(out, st.atoms[i])
         assert out == A
 
@@ -156,7 +163,7 @@ def test_initial_factor_absorbs_repeated_simple(dual4):
         checked += 1
         if ap.p == 0 == aap.p and ap.factors and aap.factors:
             assert initial_factor(aap) == initial_factor(ap)
-            assert st.starting_set(initial_factor(aap)) == st.starting_set(
+            assert starting_set(st, initial_factor(aap)) == starting_set(st, 
                 initial_factor(ap)
             )
     assert checked >= 1000
@@ -177,13 +184,13 @@ def test_blocking_form_pins_initial_factor(dual4):
         x = st.atoms[i]
         k = rng.randrange(1, 4)
         if not (
-            st.is_left_weighted(A, x)
-            and st.is_left_weighted(x, x)
-            and st.is_left_weighted(x, B)
+            is_left_weighted(st, A, x)
+            and is_left_weighted(st, x, x)
+            and is_left_weighted(st, x, B)
         ):
             continue
         X = st.nf(0, (A,) + (x,) * k + (B,))
-        st.nf_validate(X)
+        nf_validate(st, X)
         y = random_nf(rng, st, rng.randrange(8), signed=False)
         y = st.nf(0, y.factors)  # force inf 0
         xy = st.nf_multiply(X, y)

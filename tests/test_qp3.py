@@ -12,16 +12,18 @@ from braidqp import (
     PAForm,
     are_conjugate,
     artin_structure,
-    f_i,
-    is_almost_reduced,
     is_quasipositive_3braid,
-    is_reduced,
-    pa_form_element,
     qp3,
     qp_half_twist_power,
+    to_pa_form,
+)
+from braidqp.qp3 import (
+    f_i,
+    is_almost_reduced,
+    is_reduced,
+    pa_form_element,
     reduce,
     signature_nullity,
-    to_pa_form,
 )
 from conftest import random_word
 

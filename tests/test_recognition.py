@@ -26,7 +26,13 @@ from braidqp import (
     summit_length_filter,
     verify_witness,
 )
-from conftest import random_nf, random_word, standard_power_form, standard_sc_search
+from conftest import (
+    is_suffix,
+    random_nf,
+    random_word,
+    standard_power_form,
+    standard_sc_search,
+)
 
 
 def _conjugated_power(st, rng, atom_idx, k, conj_len=3):
@@ -363,6 +369,6 @@ def test_power_form_matches_standard_reference(n):
                 assert w == standard_power_form(x, q), (word, k)
                 if w is not None and w.n >= 1:
                     # the ladder at i = 1 gives A_1 = complement_inv(x1 B_1) x1
-                    assert st.is_suffix(w.x1, w.a_factors[0])
+                    assert is_suffix(st, w.x1, w.a_factors[0])
                     fused_yes += 1
     assert fused_yes >= 100
