@@ -14,12 +14,17 @@ are closed under meets (Gebhardt and Gonzalez-Meneses, "The cyclic sliding
 operation in Garside groups", Math. Z. 2010), so the first one met in norm order
 is the minimal one; candidates whose conjugate leaves the summit inf and sup
 are skipped before any sliding.
+
+One enumeration keeps a memo of which elements lie on a circuit, so a
+candidate's sliding walk stops at the first element an earlier walk of the
+same enumeration already decided.  The enumeration is grown lazily, so that
+a conjugacy test stops as soon as it meets the circuit element it looks for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Container, Iterator, Sequence
 
 from .core import NormalForm, Simple
 
@@ -45,12 +50,16 @@ def _require_positive_length(x: NormalForm) -> None:
 
 
 def initial_factor(x: NormalForm) -> Simple:
-    """tau^{-p}(A_1): the first factor pulled past the Garside power."""
+    """tau^{-p}(A_1): the first factor pulled past the Garside power.
+
+    Raises ValueError on a pure Garside power, which has no factors.
+    """
     _require_positive_length(x)
     return x.structure.tau(x.factors[0], -x.p)
 
 
 def final_factor(x: NormalForm) -> Simple:
+    """The last factor A_r.  Raises ValueError on a pure Garside power."""
     _require_positive_length(x)
     return x.factors[-1]
 
@@ -74,7 +83,10 @@ def decycling(x: NormalForm) -> NormalForm:
 
 
 def preferred_prefix(x: NormalForm) -> Simple:
-    """Meet of the initial factor and the complement of the final factor."""
+    """Meet of the initial factor and the complement of the final factor.
+
+    Raises ValueError on a pure Garside power, which has no factors.
+    """
     _require_positive_length(x)
     st = x.structure
     return st.meet(initial_factor(x), st.complement(final_factor(x)))
@@ -90,13 +102,18 @@ def cyclic_sliding(x: NormalForm) -> NormalForm:
 
 
 def _walk(
-    x: NormalForm, step: Callable[[NormalForm], NormalForm], max_orbit: int, what: str
+    x: NormalForm,
+    step: Callable[[NormalForm], NormalForm],
+    max_orbit: int,
+    what: str,
+    stop: Container[NormalForm] = (),
 ) -> tuple[list[NormalForm], int]:
-    """Iterate step from x up to the first repeat.
+    """Iterate step from x up to the first repeat or the first element of stop.
 
     Returns the distinct elements of the walk, in order, and the index among
-    them of the element the last step leads back to.  Raises
-    ResourceCapExceeded, naming ``what``, past max_orbit elements.
+    them of the element the last step leads back to, or -1 when the last step
+    reaches an element of ``stop`` instead.  Raises ResourceCapExceeded,
+    naming ``what``, past max_orbit elements.
     """
     walk = [x]
     index = {x: 0}
@@ -104,6 +121,8 @@ def _walk(
         y = step(walk[-1])
         if y in index:
             return walk, index[y]
+        if y in stop:
+            return walk, -1
         index[y] = len(walk)
         walk.append(y)
         if len(walk) > max_orbit:
@@ -127,9 +146,29 @@ def slide_to_circuit(
     return walk[j], c
 
 
-def in_sliding_circuit(x: NormalForm, max_orbit: int = DEFAULT_MAX_ORBIT) -> bool:
-    """Whether cyclic sliding eventually returns to x itself."""
-    return _walk(x, cyclic_sliding, max_orbit, "sliding trajectory")[1] == 0
+def in_sliding_circuit(
+    x: NormalForm,
+    max_orbit: int = DEFAULT_MAX_ORBIT,
+    *,
+    memo: dict[NormalForm, bool] | None = None,
+) -> bool:
+    """Whether cyclic sliding eventually returns to x itself.
+
+    ``memo`` maps elements already decided to whether they lie on a circuit;
+    the walk reads it and records every element it passes.  Each element
+    marked True has its whole circuit marked True, so a walk that reaches a
+    marked element has shown that none of its own elements is on a circuit:
+    a marked False element is off every circuit, and a circuit through a
+    marked True one would be that element's circuit, which is all marked.
+    """
+    if memo is None:
+        memo = {}
+    if x in memo:
+        return memo[x]
+    walk, j = _walk(x, cyclic_sliding, max_orbit, "sliding trajectory", memo)
+    for k, y in enumerate(walk):
+        memo[y] = 0 <= j <= k
+    return j == 0
 
 
 def cycling_orbit(
@@ -159,11 +198,14 @@ def min_sc_conjugator(
     divides every other one and hence has the smallest norm among them: the
     first working simple in (norm, payload) order is that least element.
     """
-    return _min_sc_conjugators(y, (atom,), max_orbit)[0][0]
+    return _min_sc_conjugators(y, (atom,), max_orbit, {})[0][0]
 
 
 def _min_sc_conjugators(
-    y: NormalForm, atoms: Sequence[int], max_orbit: int
+    y: NormalForm,
+    atoms: Sequence[int],
+    max_orbit: int,
+    memo: dict[NormalForm, bool],
 ) -> list[tuple[Simple, NormalForm]]:
     """min_sc_conjugator for each atom, in order, with the conjugate of y by it.
 
@@ -171,6 +213,7 @@ def _min_sc_conjugators(
     a working simple answers every such atom.  A conjugate off the summit inf
     and sup is rejected without sliding.  The last simple, the Garside
     element, always works (it commutes with sliding), so it is not tested.
+    ``memo`` is handed to every in_sliding_circuit test.
     """
     st = y.structure
     found: dict[int, tuple[Simple, NormalForm]] = {}
@@ -182,7 +225,7 @@ def _min_sc_conjugators(
         z = st.nf_conjugate_by_simple(y, s)
         if z.p != y.p or len(z.factors) != len(y.factors):
             continue
-        if in_sliding_circuit(z, max_orbit):
+        if in_sliding_circuit(z, max_orbit, memo=memo):
             for i in above:
                 found[i] = (s, z)
             pending = [i for i in pending if i not in found]
@@ -224,15 +267,31 @@ def sliding_circuits(
     max_orbit: int = DEFAULT_MAX_ORBIT,
 ) -> SlidingCircuits:
     """Enumerate the whole sliding-circuits set of the class of x."""
-    st = x.structure
-    rep, w0 = slide_to_circuit(x, max_orbit)
     sc = SlidingCircuits()
+    for _ in _grow_sliding_circuits(sc, x, max_sc, max_orbit):
+        pass
+    return sc
+
+
+def _grow_sliding_circuits(
+    sc: SlidingCircuits, x: NormalForm, max_sc: int, max_orbit: int
+) -> Iterator[NormalForm]:
+    """Fill the empty sc with the sliding-circuits set of the class of x.
+
+    Yields each element as soon as it has its witness; elements and arrows
+    come in the same depth-first order whether or not the caller stops early.
+    One memo of circuit membership serves every candidate test of the run.
+    """
+    st = x.structure
+    memo: dict[NormalForm, bool] = {}
+    rep, w0 = slide_to_circuit(x, max_orbit)
     sc.elements[rep] = w0
+    yield rep
     frontier = [rep]
     while frontier:
         y = frontier.pop()
         wy = sc.elements[y]
-        minima = _min_sc_conjugators(y, range(len(st.atoms)), max_orbit)
+        minima = _min_sc_conjugators(y, range(len(st.atoms)), max_orbit, memo)
         conjugate = dict(minima)
         candidates = sorted({s for s, _ in minima}, key=st.norm)
         # keep only the divisibility-minimal candidates
@@ -260,7 +319,7 @@ def sliding_circuits(
                 frontier.append(z)
                 if len(sc.elements) > max_sc:
                     raise ResourceCapExceeded("sliding-circuits set", max_sc)
-    return sc
+                yield z
 
 
 def are_conjugate(
@@ -272,9 +331,13 @@ def are_conjugate(
     """Decide conjugacy; on success also return c with c^{-1} x c = y.
 
     Both elements are slid to a circuit first.  Different summit (inf, sup)
-    decide NO and equal circuit elements decide YES; only otherwise is the
-    sliding-circuits set of x enumerated, starting from the circuit element
-    already found.
+    decide NO and equal circuit elements decide YES.  Otherwise the
+    sliding-circuits set of x is grown from the circuit element already
+    found, and the growth stops as soon as it reaches y's circuit element:
+    a YES enumerates only part of the set, a NO all of it.  ``max_sc`` bounds
+    the elements enumerated, so a YES found before the cap returns even when
+    the whole set is larger than the cap, while a NO raises
+    ResourceCapExceeded whenever the whole set is larger than the cap.
     """
     st = x.structure
     if y.structure is not st:
@@ -286,9 +349,10 @@ def are_conjugate(
     if (rx.inf, rx.sup) != (ry.inf, ry.sup):
         return False, None
     if rx != ry:
-        # rx lies on its circuit, so its set carries witnesses from rx itself
-        sc = sliding_circuits(rx, max_sc, max_orbit)
-        if ry not in sc.elements:
+        # rx lies on its circuit, so its set carries witnesses from rx itself;
+        # the membership test consumes the growth only up to ry
+        sc = SlidingCircuits()
+        if ry not in _grow_sliding_circuits(sc, rx, max_sc, max_orbit):
             return False, None
         wx = st.nf_multiply(wx, sc.elements[ry])
     return True, st.nf_multiply(wx, st.nf_inverse(wy))

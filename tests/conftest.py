@@ -9,6 +9,7 @@ from dataclasses import replace
 import pytest
 
 from braidqp import (
+    Arrow,
     BraidWord,
     DualStructure,
     FormWitness,
@@ -16,10 +17,15 @@ from braidqp import (
     NormalForm,
     RecognitionQuery,
     RecognitionResult,
+    ResourceCapExceeded,
     Simple,
+    SlidingCircuits,
     StructureKind,
     artin_structure,
     dual_structure,
+    final_factor,
+    in_sliding_circuit,
+    initial_factor,
     inverse_perm,
     mult,
     preferred_prefix,
@@ -448,3 +454,78 @@ def standard_sc_search(x: NormalForm, q: RecognitionQuery) -> RecognitionResult 
         if w is not None:
             return RecognitionResult(True, replace(w, conjugator=st.nf_multiply(c, wz), location="sc"))
     return RecognitionResult(False)
+
+
+# ----- sliding circuits without the membership memo or the early stop
+
+
+def _min_sc_conjugators_reference(y: NormalForm) -> list[tuple[Simple, NormalForm]]:
+    """Per atom, the first simple in (norm, payload) order above it that
+    conjugates y into a sliding circuit, with that conjugate; one plain
+    in_sliding_circuit walk per candidate simple."""
+    st = y.structure
+    found: dict[int, tuple[Simple, NormalForm]] = {}
+    pending = list(range(len(st.atoms)))
+    for s in st.all_simples[:-1]:
+        above = [i for i in pending if st.atom_prefix(i, s)]
+        if not above:
+            continue
+        z = st.nf_conjugate_by_simple(y, s)
+        if z.p != y.p or len(z.factors) != len(y.factors):
+            continue
+        if in_sliding_circuit(z):
+            for i in above:
+                found[i] = (s, z)
+            pending = [i for i in pending if i not in found]
+            if not pending:
+                break
+    top = (st.delta, st.nf_tau(y, 1))
+    return [found.get(i, top) for i in range(len(st.atoms))]
+
+
+def sliding_circuits_reference(x: NormalForm, max_sc: int = 100_000) -> SlidingCircuits:
+    """The whole sliding-circuits set, depth first, with witnesses and arrows
+    in the order sliding_circuits gives them."""
+    st = x.structure
+    rep, w0 = slide_to_circuit(x)
+    sc = SlidingCircuits()
+    sc.elements[rep] = w0
+    frontier = [rep]
+    while frontier:
+        y = frontier.pop()
+        minima = _min_sc_conjugators_reference(y)
+        conjugate = dict(minima)
+        candidates = sorted({s for s, _ in minima}, key=st.norm)
+        trivial = not y.factors
+        for c in candidates:
+            if any(d != c and st.is_prefix(d, c) for d in candidates):
+                continue
+            z = conjugate[c]
+            black = trivial or st.is_prefix(c, initial_factor(y))
+            grey = trivial or st.is_prefix(c, st.complement(final_factor(y)))
+            sc.arrows.append(Arrow(y, c, z, black, grey))
+            if z not in sc.elements:
+                sc.elements[z] = st.nf_right_multiply(sc.elements[y], c)
+                frontier.append(z)
+                if len(sc.elements) > max_sc:
+                    raise ResourceCapExceeded("sliding-circuits set", max_sc)
+    return sc
+
+
+def are_conjugate_reference(
+    x: NormalForm, y: NormalForm, max_sc: int = 100_000
+) -> tuple[bool, NormalForm | None]:
+    """Conjugacy decided on the whole sliding-circuits set of x."""
+    st = x.structure
+    if st.nf_algebraic_length(x) != st.nf_algebraic_length(y):
+        return False, None
+    rx, wx = slide_to_circuit(x)
+    ry, wy = slide_to_circuit(y)
+    if (rx.inf, rx.sup) != (ry.inf, ry.sup):
+        return False, None
+    if rx != ry:
+        sc = sliding_circuits_reference(rx, max_sc)
+        if ry not in sc.elements:
+            return False, None
+        wx = st.nf_multiply(wx, sc.elements[ry])
+    return True, st.nf_multiply(wx, st.nf_inverse(wy))

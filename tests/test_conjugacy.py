@@ -27,12 +27,14 @@ from braidqp import (
     sliding_circuits,
 )
 from conftest import (
+    are_conjugate_reference,
     band_atom,
     conjugate_reference,
     is_left_weighted,
     nf_validate,
     random_nf,
     random_word,
+    sliding_circuits_reference,
     sliding_transport,
 )
 
@@ -347,6 +349,77 @@ def test_are_conjugate(std3):
         # the conjugator read off the whole set of x, as without short cuts
         ry, wy = slide_to_circuit(y)
         assert c == st.nf_multiply(sliding_circuits(x).elements[ry], st.nf_inverse(wy))
+
+
+@pytest.mark.parametrize("make", [artin_structure, dual_structure])
+def test_sliding_circuits_and_are_conjugate_match_reference(make):
+    # the memo and the early stop change no element, witness, arrow,
+    # verdict or conjugator; the partners of x are a conjugate, x with one
+    # letter changed, and x read backwards
+    rng = random.Random(196)
+    enumerated = {True: 0, False: 0}
+    for n in (3, 4, 5):
+        st = make(n)
+        lengths = (4, 10) if make is artin_structure else (2, 9 - n)
+        for _ in range(4):
+            w = random_word(rng, st, rng.randrange(*lengths))
+            x = st.nf_from_word(w)
+            sc, ref = sliding_circuits(x), sliding_circuits_reference(x)
+            assert list(sc.elements.items()) == list(ref.elements.items())
+            assert sc.arrows == ref.arrows
+            y = st.nf_conjugate(x, random_nf(rng, st, 4))
+            letters = list(w.letters)
+            i = rng.randrange(len(letters))
+            letters[i] = (rng.randrange(len(st.atoms)), letters[i][1])
+            z = st.nf_from_word(BraidWord(st.ident, 0, tuple(letters)))
+            r = st.nf_from_word(BraidWord(st.ident, 0, w.letters[::-1]))
+            for a, b in ((x, y), (y, x), (x, z), (x, r)):
+                answer = are_conjugate(a, b)
+                assert answer == are_conjugate_reference(a, b)
+                ra, rb = slide_to_circuit(a)[0], slide_to_circuit(b)[0]
+                if ra != rb and (ra.inf, ra.sup) == (rb.inf, rb.sup):
+                    enumerated[answer[0]] += 1
+    # both verdicts were reached by growing a sliding-circuits set
+    assert min(enumerated.values()) > 0
+
+
+@pytest.mark.parametrize("make", [artin_structure, dual_structure])
+def test_membership_memo_agrees_with_plain_walks(make):
+    rng = random.Random(193)
+    seen = set()
+    for n in (3, 4):
+        st = make(n)
+        for _ in range(3):
+            x = random_nf(rng, st, rng.randrange(2, 8))
+            memo = {}
+            for y in sliding_circuits(x).elements:
+                for s in st.all_simples:
+                    z = st.nf_conjugate_by_simple(y, s)
+                    assert in_sliding_circuit(z, memo=memo) == in_sliding_circuit(z)
+            for z, on in memo.items():
+                assert on == in_sliding_circuit(z)
+                # an element marked True has its whole circuit marked True
+                assert not on or memo.get(cyclic_sliding(z)) is True
+            seen.update(memo.values())
+    assert seen == {True, False}
+
+
+def test_sc_cap_bounds_the_elements_enumerated(std4):
+    st = std4
+    x = st.nf_from_word(parse_word("2 -1 -1 2 -3 -1", st.ident))
+    z = st.nf_from_word(parse_word("-1 -1 2 2 -1 -3", st.ident))
+    elements = list(sliding_circuits(x).elements)
+    assert len(elements) == 10
+    # a YES met among the first two elements returns under a cap of two...
+    y = elements[1]
+    ok, c = are_conjugate(x, y, max_sc=2)
+    assert ok and st.nf_conjugate(x, c) == y
+    with pytest.raises(ResourceCapExceeded):
+        are_conjugate_reference(x, y, max_sc=2)
+    # ...while a NO enumerates the whole set, so it still meets the cap
+    assert are_conjugate(x, z) == (False, None)
+    with pytest.raises(ResourceCapExceeded):
+        are_conjugate(x, z, max_sc=2)
 
 
 def test_zero_length_errors_and_fixed_points(std3):
