@@ -11,9 +11,12 @@ keeps a witness so membership answers come with an explicit conjugator.
 Each arrow of the enumeration is a minimal simple conjugator above an atom.
 The simples above an atom that keep an element inside the sliding-circuits set
 are closed under meets (Gebhardt and Gonzalez-Meneses, "The cyclic sliding
-operation in Garside groups", Math. Z. 2010), so the first one met in norm order
-is the minimal one; candidates whose conjugate leaves the summit inf and sup
-are skipped before any sliding.
+operation in Garside groups", Math. Z. 2010), and every arrow is black or grey:
+its conjugator divides the initial factor or the complement of the final
+factor.  So each atom's least working simple is searched for level by level
+among the prefixes of those two simples only, never among all simples;
+candidates whose conjugate leaves the summit inf and sup are skipped before
+any sliding.
 
 One enumeration keeps a memo of which elements lie on a circuit, so a
 candidate's sliding walk stops at the first element an earlier walk of the
@@ -24,9 +27,9 @@ a conjugacy test stops as soon as it meets the circuit element it looks for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterator, Sequence
+from typing import Callable, Container, Iterator
 
-from .core import NormalForm, Simple
+from .core import NormalForm, Simple, mult
 
 DEFAULT_MAX_SC = 100_000
 DEFAULT_MAX_ORBIT = 100_000
@@ -192,47 +195,42 @@ def min_sc_conjugator(
 ) -> Simple:
     """Least simple s above the given atom with y^s back in sliding circuits.
 
-    y must itself lie in its sliding-circuits set.  The simples above the atom
-    that conjugate y back into the set are closed under meets (Gebhardt and
-    Gonzalez-Meneses, Math. Z. 2010), so they have a least element, which
-    divides every other one and hence has the smallest norm among them: the
-    first working simple in (norm, payload) order is that least element.
+    y must itself lie in its sliding-circuits set.  The search always ends:
+    the Garside element works, as it commutes with sliding.
     """
-    return _min_sc_conjugators(y, (atom,), max_orbit, {})[0][0]
+    st = y.structure
+    return _least_working(y, st.atoms[atom], st.delta, max_orbit, {})[0]
 
 
-def _min_sc_conjugators(
-    y: NormalForm,
-    atoms: Sequence[int],
-    max_orbit: int,
-    memo: dict[NormalForm, bool],
-) -> list[tuple[Simple, NormalForm]]:
-    """min_sc_conjugator for each atom, in order, with the conjugate of y by it.
+def _least_working(
+    y: NormalForm, a: Simple, top: Simple, max_orbit: int, memo: dict[NormalForm, bool]
+) -> tuple[Simple, NormalForm] | None:
+    """The least simple s with a <= s <= top and y^s in sliding circuits, with y^s.
 
-    A simple is tested once, if it lies above an atom still without one, and
-    a working simple answers every such atom.  A conjugate off the summit inf
-    and sup is rejected without sliding.  The last simple, the Garside
-    element, always works (it commutes with sliding), so it is not tested.
+    None if there is none.  The search climbs from the atom a one norm level
+    at a time, through prefixes of top only.  The working simples above a are
+    closed under meets, and so are the prefixes of top, so the first level
+    that holds a working simple holds exactly one, the least.  Every arrow is
+    black or grey: its conjugator divides the initial factor of y or the
+    complement of its final factor (Gebhardt and Gonzalez-Meneses, "Solving
+    the conjugacy problem in Garside groups by cyclic sliding", J. Symb.
+    Comput. 45, 2010), so searching below those two finds every arrow.
     ``memo`` is handed to every in_sliding_circuit test.
     """
     st = y.structure
-    found: dict[int, tuple[Simple, NormalForm]] = {}
-    pending = list(atoms)
-    for s in st.all_simples[:-1]:
-        above = [i for i in pending if st.atom_prefix(i, s)]
-        if not above:
-            continue
-        z = st.nf_conjugate_by_simple(y, s)
-        if z.p != y.p or len(z.factors) != len(y.factors):
-            continue
-        if in_sliding_circuit(z, max_orbit, memo=memo):
-            for i in above:
-                found[i] = (s, z)
-            pending = [i for i in pending if i not in found]
-            if not pending:
-                break
-    top = (st.delta, st.nf_tau(y, 1)) if pending else None
-    return [found.get(i, top) for i in atoms]
+    level = [a] if st.is_prefix(a, top) else []
+    while level:
+        for s in level:
+            z = st.nf_conjugate_by_simple(y, s)
+            same_summit = z.p == y.p and len(z.factors) == len(y.factors)
+            if same_summit and in_sliding_circuit(z, max_orbit, memo=memo):
+                return s, z
+        covers: set[Simple] = set()
+        for s in level:
+            rest = st.left_quotient(s, top)
+            covers.update(mult(s, b) for i, b in enumerate(st.atoms) if st.atom_prefix(i, rest))
+        level = sorted(covers)
+    return None
 
 
 @dataclass(frozen=True)
@@ -291,29 +289,23 @@ def _grow_sliding_circuits(
     while frontier:
         y = frontier.pop()
         wy = sc.elements[y]
-        minima = _min_sc_conjugators(y, range(len(st.atoms)), max_orbit, memo)
-        conjugate = dict(minima)
-        candidates = sorted({s for s, _ in minima}, key=st.norm)
-        # keep only the divisibility-minimal candidates
-        arrows = [
-            c
-            for c in candidates
-            if not any(d != c and st.is_prefix(d, c) for d in candidates)
-        ]
-        trivial = not y.factors
-        iota = st.identity if trivial else initial_factor(y)
-        dphi = st.identity if trivial else st.complement(final_factor(y))
-        for c in arrows:
+        # a pure Garside power has no factors: every simple is below Delta
+        tops = (initial_factor(y), st.complement(final_factor(y))) if y.factors else (st.delta,)
+        conjugate: dict[Simple, NormalForm] = {}
+        for a in st.atoms:
+            for top in tops:
+                hit = _least_working(y, a, top, max_orbit, memo)
+                if hit is not None:
+                    conjugate[hit[0]] = hit[1]
+                    break
+        candidates = sorted(conjugate, key=lambda s: (st.norm(s), s))
+        # the divisibility-minimal candidates are the arrows
+        for c in candidates:
+            if any(d != c and st.is_prefix(d, c) for d in candidates):
+                continue
             z = conjugate[c]
-            sc.arrows.append(
-                Arrow(
-                    y,
-                    c,
-                    z,
-                    trivial or st.is_prefix(c, iota),
-                    trivial or st.is_prefix(c, dphi),
-                )
-            )
+            black, grey = st.is_prefix(c, tops[0]), st.is_prefix(c, tops[-1])
+            sc.arrows.append(Arrow(y, c, z, black, grey))
             if z not in sc.elements:
                 sc.elements[z] = st.nf_right_multiply(wy, c)
                 frontier.append(z)

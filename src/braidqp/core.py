@@ -108,7 +108,9 @@ class GarsideStructure(ABC):
 
     @functools.cached_property
     def all_simples(self) -> tuple[Simple, ...]:
-        """Every simple element, found by closing the atoms under extension."""
+        """Every simple element, found by closing the atoms under extension.
+
+        Only the tests and the benchmark's set-up build it, never the engine."""
         seen = {self.identity}
         frontier = [self.identity]
         while frontier:

@@ -17,8 +17,9 @@ signed atoms.  The grammar is whitespace-separated items::
 ``D`` / ``d`` (optionally with an exponent) denote the Garside element and may
 appear anywhere; they are folded into the leading power by twisting the
 letters they move past.  Named atoms: ``s1`` .. ``s9`` are sigma_i, and for
-the dual structure ``a31``-style names address arbitrary bands, with sugar
-``a`` = a31, ``b`` = a42 and ``s0`` = a_{n,1}.
+the dual structure ``a31``-style names address arbitrary bands (``a10_1``
+once the larger strand reaches 10), with sugar ``a`` = a31, ``b`` = a42 and
+``s0`` = a_{n,1}.
 
 ``to_dual`` and ``to_standard`` translate words between the two structures on
 the same group: sigma_i is the band a_{i+1,i}, and a_{ts} is
@@ -91,7 +92,7 @@ class StructureId:
         t, s = self.atom_pairs()[index]
         if t == s + 1:
             return str(s)
-        return f"a{t}{s}"
+        return f"a{t}{s}" if t < 10 else f"a{t}_{s}"
 
     def twist_atom(self, index: int, k: int = 1) -> int:
         """Image of an atom under conjugation by the k-th Garside power."""
@@ -135,7 +136,7 @@ class WordSyntaxError(ValueError):
         self.position = position
 
 
-_NAME_RE = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9]*)(\^(?P<exp>-?\d+))?\Z")
+_NAME_RE = re.compile(r"(?P<name>[A-Za-z][A-Za-z0-9_]*)(\^(?P<exp>-?\d+))?\Z")
 _INT_RE = re.compile(r"-?\d+\Z")
 
 
@@ -151,8 +152,9 @@ def _atom_for_name(name: str, structure: StructureId) -> int:
             return structure.atom_index_of_band(3, 1)
         if name == "b" and n >= 4:
             return structure.atom_index_of_band(4, 2)
-        if re.fullmatch(r"a[1-9][1-9]", name):
-            return structure.atom_index_of_band(int(name[1]), int(name[2]))
+        if band := re.fullmatch(r"a([1-9])([1-9])|a(\d+)_(\d+)", name):
+            t, s = (int(g) for g in band.groups() if g is not None)
+            return structure.atom_index_of_band(t, s)
     raise ValueError(f"unknown atom name {name!r}")
 
 

@@ -495,7 +495,7 @@ def sliding_circuits_reference(x: NormalForm, max_sc: int = 100_000) -> SlidingC
         y = frontier.pop()
         minima = _min_sc_conjugators_reference(y)
         conjugate = dict(minima)
-        candidates = sorted({s for s, _ in minima}, key=st.norm)
+        candidates = sorted({s for s, _ in minima}, key=lambda s: (st.norm(s), s))
         trivial = not y.factors
         for c in candidates:
             if any(d != c and st.is_prefix(d, c) for d in candidates):

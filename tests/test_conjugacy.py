@@ -7,7 +7,10 @@ import random
 import pytest
 
 from braidqp import (
+    ArtinStructure,
     BraidWord,
+    DualStructure,
+    RecognitionQuery,
     ResourceCapExceeded,
     are_conjugate,
     artin_structure,
@@ -23,8 +26,10 @@ from braidqp import (
     min_sc_conjugator,
     parse_word,
     preferred_prefix,
+    recognize,
     slide_to_circuit,
     sliding_circuits,
+    verify_witness,
 )
 from conftest import (
     are_conjugate_reference,
@@ -243,7 +248,8 @@ def _sliding_circuits_per_atom(x):
     while frontier:
         y = frontier.pop()
         candidates = sorted(
-            {_first_hit(y, a) for a in range(len(st.atoms))}, key=st.norm
+            {_first_hit(y, a) for a in range(len(st.atoms))},
+            key=lambda s: (st.norm(s), s),
         )
         trivial = not y.factors
         for c in candidates:
@@ -358,15 +364,20 @@ def test_sliding_circuits_and_are_conjugate_match_reference(make):
     # letter changed, and x read backwards
     rng = random.Random(196)
     enumerated = {True: 0, False: 0}
-    for n in (3, 4, 5):
+    for n, count in ((3, 4), (4, 4), (5, 4), (6, 2)):
         st = make(n)
         lengths = (4, 10) if make is artin_structure else (2, 9 - n)
-        for _ in range(4):
+        if n == 6:  # short words: the reference scans all simples per element
+            lengths = (3, 6) if make is artin_structure else (2, 4)
+        for _ in range(count):
             w = random_word(rng, st, rng.randrange(*lengths))
             x = st.nf_from_word(w)
             sc, ref = sliding_circuits(x), sliding_circuits_reference(x)
             assert list(sc.elements.items()) == list(ref.elements.items())
             assert sc.arrows == ref.arrows
+            # the scan finds each arrow below the initial factor of its source
+            # or below the complement of the final factor: it is black or grey
+            assert all(arrow.black or arrow.grey for arrow in ref.arrows)
             y = st.nf_conjugate(x, random_nf(rng, st, 4))
             letters = list(w.letters)
             i = rng.randrange(len(letters))
@@ -381,6 +392,22 @@ def test_sliding_circuits_and_are_conjugate_match_reference(make):
                     enumerated[answer[0]] += 1
     # both verdicts were reached by growing a sliding-circuits set
     assert min(enumerated.values()) > 0
+
+
+@pytest.mark.parametrize("cls", [ArtinStructure, DualStructure])
+def test_enumeration_never_lists_all_simples(cls):
+    # a fresh instance, so that no other test has built its simples
+    st = cls(7)
+    word = lambda t: st.nf_from_word(parse_word(t, st.ident))
+    x = word("1 -2 3 -4 5 -6 1 2 -3")
+    assert len(sliding_circuits(x)) > 1
+    assert are_conjugate(st.nf_conjugate(x, word("2 -5 6 1")), x)[0]
+    # x1^2 y1 conjugated by a positive word: the positive-summit branch
+    y = word("-3 -1 -4 1 1 5 4 1 3")
+    res = recognize(y, RecognitionQuery(st.ident, 0, 2, 0, 1))
+    assert res.verdict and res.witness.location == "conjugacy"
+    assert verify_witness(y, res.witness)
+    assert "all_simples" not in vars(st)
 
 
 @pytest.mark.parametrize("make", [artin_structure, dual_structure])

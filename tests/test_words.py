@@ -25,6 +25,7 @@ from conftest import word_inverse, word_product
 STD3 = StructureId(3, StructureKind.STANDARD)
 STD4 = StructureId(4, StructureKind.STANDARD)
 DUAL4 = StructureId(4, StructureKind.DUAL)
+DUAL12 = StructureId(12, StructureKind.DUAL)
 
 
 def word_strategy(ident: StructureId):
@@ -44,9 +45,20 @@ def test_roundtrip_standard(w):
     assert parse_word(word_to_text(w), STD4) == w
 
 
-@given(word_strategy(DUAL4))
+@given(hs.sampled_from((DUAL4, DUAL12)).flatmap(word_strategy))
 def test_roundtrip_dual(w):
-    assert parse_word(word_to_text(w), DUAL4) == w
+    assert parse_word(word_to_text(w), w.structure) == w
+
+
+def test_band_names_from_ten_strands():
+    # a two-digit strand is set off by an underscore: a123 would be ambiguous
+    bands = ((9, 1), (10, 1), (12, 3))
+    names = [DUAL12.atom_name(DUAL12.atom_index_of_band(t, s)) for t, s in bands]
+    assert names == ["a91", "a10_1", "a12_3"]
+    assert parse_word("a10_1 a12_3^-1", DUAL12).letters == (
+        (DUAL12.atom_index_of_band(10, 1), 1),
+        (DUAL12.atom_index_of_band(12, 3), -1),
+    )
 
 
 @given(word_strategy(STD4), word_strategy(STD4))
