@@ -152,7 +152,7 @@ def _atom_for_name(name: str, structure: StructureId) -> int:
             return structure.atom_index_of_band(3, 1)
         if name == "b" and n >= 4:
             return structure.atom_index_of_band(4, 2)
-        if band := re.fullmatch(r"a([1-9])([1-9])|a(\d+)_(\d+)", name):
+        if band := re.fullmatch(r"a([1-9])([1-9])|a([1-9]\d+)_([1-9]\d*)", name):
             t, s = (int(g) for g in band.groups() if g is not None)
             return structure.atom_index_of_band(t, s)
     raise ValueError(f"unknown atom name {name!r}")

@@ -59,6 +59,10 @@ def test_band_names_from_ten_strands():
         (DUAL12.atom_index_of_band(10, 1), 1),
         (DUAL12.atom_index_of_band(12, 3), -1),
     )
+    # one-digit strands have one spelling only
+    for name in ("a3_1", "a03_1", "a10_01"):
+        with pytest.raises(WordSyntaxError):
+            parse_word(name, DUAL12)
 
 
 @given(word_strategy(STD4), word_strategy(STD4))
