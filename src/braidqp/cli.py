@@ -17,6 +17,7 @@ memory runs out.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any
@@ -183,7 +184,10 @@ def _cmd_qp3(args: argparse.Namespace, report: _Report) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and kept: building it costs about
+    twenty times what parsing one command line does."""
     parser = argparse.ArgumentParser(
         prog="braidqp",
         description="Garside normal forms, sliding circuits and "
@@ -196,17 +200,16 @@ def build_parser() -> argparse.ArgumentParser:
     }
     commands = {}
     # qp3 is fixed to the standard structure on 3 strands and reads no cap
-    for name, fn, flags in (
-        ("nf", _cmd_nf, ()),
-        ("invariants", _cmd_invariants, ("--max-orbit",)),
-        ("sc", _cmd_sc, ("--max-sc", "--max-orbit")),
-        ("orbit", _cmd_orbit, ("--max-orbit",)),
-        ("conjugate", _cmd_conjugate, ("--max-sc", "--max-orbit")),
-        ("recognize", _cmd_recognize, ("--max-sc", "--max-orbit")),
-        ("qp3", _cmd_qp3, ()),
+    for name, flags in (
+        ("nf", ()),
+        ("invariants", ("--max-orbit",)),
+        ("sc", ("--max-sc", "--max-orbit")),
+        ("orbit", ("--max-orbit",)),
+        ("conjugate", ("--max-sc", "--max-orbit")),
+        ("recognize", ("--max-sc", "--max-orbit")),
+        ("qp3", ()),
     ):
         p = commands[name] = sub.add_parser(name)
-        p.set_defaults(fn=fn)
         if name != "qp3":
             p.add_argument("--structure", choices=["standard", "dual"], default="standard")
             p.add_argument("-n", "--strands", type=int, default=3)
@@ -230,11 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     report = _Report(args.json)
     try:
-        code = args.fn(args, report)
+        # looked up at call time, so a replaced _cmd_<name> takes effect
+        code = globals()[f"_cmd_{args.command}"](args, report)
     except (WordSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

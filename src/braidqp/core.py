@@ -45,11 +45,11 @@ class GarsideStructure(ABC):
     safe to share between threads.
 
     Six primitives keep an unbounded memo per instance, made in ``__init__``;
-    each has thousands of hits in a full seed-1 bench run: ``local_sliding``
-    (1.0M), ``tau`` (378k) and ``complement`` (169k) in every multiplication,
-    ``is_prefix`` (26k) in arrow and shape tests, ``norm`` (12k) and
-    ``spell_simple`` (9.4k).  Bounding them slowed the sliding-circuit searches
-    more than it saved.
+    each has thousands of hits in the three bench workloads at seed 1:
+    ``local_sliding`` (430k), ``tau`` (233k) and ``complement`` (190k) in
+    every multiplication, ``is_prefix`` (34k) in arrow and shape tests,
+    ``norm`` (17k) and ``spell_simple`` (11k).  Bounding them slowed the
+    sliding-circuit searches more than it saved.
     """
 
     ident: StructureId
@@ -170,14 +170,16 @@ class GarsideStructure(ABC):
         """x times the k-th Garside power."""
         if k == 0:
             return x
-        return self.nf(x.p + k, tuple(self.tau(f, k) for f in x.factors))
+        t = k % len(self._delta_powers)  # one tau memo key per twist, whatever k
+        return self.nf(x.p + k, tuple(self.tau(f, t) for f in x.factors))
 
     def nf_tau(self, x: NormalForm, k: int = 1) -> NormalForm:
         """Conjugate by the k-th Garside power; p and length are unchanged."""
         return self.nf(x.p, tuple(self.tau(f, k) for f in x.factors))
 
     def nf_right_multiply(self, x: NormalForm, a: Simple) -> NormalForm:
-        """Normal form of x*a in one right-to-left sliding pass."""
+        """Normal form of x*a in one right-to-left sliding pass, which stops at
+        the first factor that the carry leaves unchanged."""
         if a == self.identity:
             return x
         if a == self.delta:
@@ -187,8 +189,14 @@ class GarsideStructure(ABC):
         for f in reversed(x.factors):
             f_new, out = self.local_sliding(f, carry)
             finals.append(out)
+            if f_new == f:
+                # the carry stops at f: the pairs left of it are left-weighted
+                kept = len(x.factors) + 1 - len(finals)  # f and the factors before it
+                factors = [*x.factors[:kept], *reversed(finals)]
+                break
             carry = f_new
-        factors = [carry] + finals[::-1]
+        else:
+            factors = [carry, *reversed(finals)]
         p = x.p
         if factors[-1] == self.identity:
             factors.pop()
@@ -198,21 +206,29 @@ class GarsideStructure(ABC):
         return self.nf(p, tuple(factors))
 
     def nf_left_multiply(self, a: Simple, x: NormalForm) -> NormalForm:
-        """Normal form of a*x in one left-to-right sliding pass."""
+        """Normal form of a*x in one left-to-right sliding pass, which stops once
+        the carry passes a factor unchanged or is used up."""
         carry = self.tau(a, x.p)
         if carry == self.identity:
             return x
         if carry == self.delta:
             return self.nf(x.p + 1, x.factors)
         out: list[Simple] = []
-        for f in x.factors:
-            done, carry = self.local_sliding(carry, f)
+        for j, f in enumerate(x.factors):
+            done, rest = self.local_sliding(carry, f)
+            if done == carry:
+                # the carry passes f unchanged: the rest of x is left-weighted
+                out += (carry, *x.factors[j:])
+                break
             out.append(done)
-        out.append(carry)
+            carry = rest
+            if carry == self.identity:
+                out += x.factors[j + 1 :]
+                break
+        else:
+            out.append(carry)
         p = x.p
-        if out[-1] == self.identity:
-            out.pop()
-        if out and out[0] == self.delta:
+        if out[0] == self.delta:
             out.pop(0)
             p += 1
         return self.nf(p, tuple(out))
@@ -224,13 +240,22 @@ class GarsideStructure(ABC):
         return out
 
     def nf_inverse(self, x: NormalForm) -> NormalForm:
-        # x^{-1} is the reversed product of factor inverses; each factor
-        # inverse is the Garside inverse times the down-twisted complement.
-        out = self.nf(0)
-        for f in reversed(x.factors):
-            out = self.nf_mult_delta(out, -1)
-            out = self.nf_right_multiply(out, self.tau(self.complement(f), -1))
-        return self.nf_mult_delta(out, -x.p)
+        """The normal form of x^{-1}, read off x's factors without sliding.
+
+        For x = Delta^p f_1 ... f_r, with f^{-1} = complement(f) Delta^{-1}
+        and Delta^{-m} b = tau^m(b) Delta^{-m}, x^{-1} is Delta^{-p-r} g_r
+        ... g_1 with g_i = tau^{-p-i}(complement(f_i)).  This is a normal
+        form: (a, b) is left-weighted iff complement(a) meet b = 1, and the
+        complement of complement(f) is tau(f), so (complement(f_{i+1}),
+        tau(complement(f_i))) is left-weighted iff tau(f_{i+1} meet
+        complement(f_i)) = 1, that is, iff (f_i, f_{i+1}) is (Epstein et
+        al., Word Processing in Groups, ch. 9).
+        """
+        r, order = len(x.factors), len(self._delta_powers)
+        factors = (
+            self.tau(self.complement(x.factors[i - 1]), (-x.p - i) % order) for i in range(r, 0, -1)
+        )
+        return self.nf(-x.p - r, factors)
 
     def nf_conjugate(self, x: NormalForm, c: NormalForm) -> NormalForm:
         """c^{-1} x c: twist by the Garside power of c, then conjugate by each factor."""
@@ -252,16 +277,15 @@ class GarsideStructure(ABC):
     def nf_from_word(self, word: BraidWord) -> NormalForm:
         if word.structure != self.ident:
             raise ValueError("word is over a different structure")
-        out = self.nf(word.g)
+        # The word so far is y Delta^{-m}: with Delta^{-m} b = tau^m(b) Delta^{-m}
+        # and a^{-1} = complement(a) Delta^{-1}, each letter multiplies y on
+        # the right by one twisted simple, and Delta^{-m} is applied once.
+        y, m = self.nf(word.g), 0
         for index, sign in word.letters:
-            a = self.atoms[index]
-            if sign > 0:
-                out = self.nf_right_multiply(out, a)
-            else:
-                # a^{-1} = Delta^{-1} * tau^{-1}(complement(a))
-                out = self.nf_mult_delta(out, -1)
-                out = self.nf_right_multiply(out, self.tau(self.complement(a), -1))
-        return out
+            a = self.atoms[index] if sign > 0 else self.complement(self.atoms[index])
+            y = self.nf_right_multiply(y, self.tau(a, m % len(self._delta_powers)))
+            m += sign < 0
+        return self.nf_mult_delta(y, -m)
 
     def nf_to_word(self, x: NormalForm) -> BraidWord:
         """A word (Garside power followed by atoms) spelling x."""

@@ -203,9 +203,86 @@ def scan_join(st: GarsideStructure, a: Simple, b: Simple) -> Simple:
     return min(up[a] & up[b], key=st.norm)
 
 
+# ----- full-pass references for the normal-form calculus: every pass walks
+# every factor, and inversion and word reading twist the whole partial result
+
+
+def right_multiply_reference(st: GarsideStructure, x: NormalForm, a: Simple) -> NormalForm:
+    """x*a by a right-to-left sliding pass over every factor of x."""
+    if a == st.identity:
+        return x
+    if a == st.delta:
+        return st.nf_mult_delta(x, 1)
+    carry = a
+    finals: list[Simple] = []
+    for f in reversed(x.factors):
+        carry, out = st.local_sliding(f, carry)
+        finals.append(out)
+    factors = [carry] + finals[::-1]
+    p = x.p
+    if factors[-1] == st.identity:
+        factors.pop()
+    if factors and factors[0] == st.delta:
+        factors.pop(0)
+        p += 1
+    return st.nf(p, factors)
+
+
+def left_multiply_reference(st: GarsideStructure, a: Simple, x: NormalForm) -> NormalForm:
+    """a*x by a left-to-right sliding pass over every factor of x."""
+    carry = st.tau(a, x.p)
+    if carry == st.identity:
+        return x
+    if carry == st.delta:
+        return st.nf(x.p + 1, x.factors)
+    out: list[Simple] = []
+    for f in x.factors:
+        done, carry = st.local_sliding(carry, f)
+        out.append(done)
+    out.append(carry)
+    p = x.p
+    if out[-1] == st.identity:
+        out.pop()
+    if out and out[0] == st.delta:
+        out.pop(0)
+        p += 1
+    return st.nf(p, out)
+
+
+def multiply_reference(st: GarsideStructure, x: NormalForm, y: NormalForm) -> NormalForm:
+    out = st.nf_mult_delta(x, y.p)
+    for f in y.factors:
+        out = right_multiply_reference(st, out, f)
+    return out
+
+
+def inverse_reference(st: GarsideStructure, x: NormalForm) -> NormalForm:
+    """x^{-1} as the reversed product of the factor inverses
+    Delta^{-1} tau^{-1}(complement(f)), one multiplication each."""
+    out = st.nf(0)
+    for f in reversed(x.factors):
+        out = st.nf_mult_delta(out, -1)
+        out = right_multiply_reference(st, out, st.tau(st.complement(f), -1))
+    return st.nf_mult_delta(out, -x.p)
+
+
+def nf_from_word_reference(st: GarsideStructure, word: BraidWord) -> NormalForm:
+    """The normal form of a word, letter by letter; a^{-1} is Delta^{-1}
+    tau^{-1}(complement(a)), so each negative letter twists the whole result."""
+    out = st.nf(word.g)
+    for index, sign in word.letters:
+        a = st.atoms[index]
+        if sign > 0:
+            out = right_multiply_reference(st, out, a)
+        else:
+            out = st.nf_mult_delta(out, -1)
+            out = right_multiply_reference(st, out, st.tau(st.complement(a), -1))
+    return out
+
+
 def conjugate_reference(st: GarsideStructure, x: NormalForm, c: NormalForm) -> NormalForm:
     """c^{-1} x c by inverting and multiplying: the reference for conjugation."""
-    return st.nf_multiply(st.nf_multiply(st.nf_inverse(c), x), c)
+    return multiply_reference(st, multiply_reference(st, inverse_reference(st, c), x), c)
 
 
 class DivisorOracle:

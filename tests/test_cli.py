@@ -5,11 +5,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as hs
 
-from braidqp.cli import main
+import braidqp
+from braidqp.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -193,6 +198,40 @@ def test_recursion_error_exits_3(capsys, monkeypatch):
     monkeypatch.setattr("braidqp.cli._cmd_nf", overflow)
     code, out, err = run(capsys, "nf", "-n", "3", "1")
     assert code == 3 and err.startswith("error:") and "Traceback" not in err
+
+
+def test_calls_in_one_process_match_fresh_processes(capsys):
+    # the parser is built once per process; an error between two calls
+    # changes neither of them
+    calls = (
+        ["nf", "-n", "4", "--json", "1 -2 3"],
+        ["nf", "-n", "3", "--max-sc", "5", "1"],
+        ["conjugate", "-n", "3", "1 0", "1"],
+        ["conjugate", "-n", "3", "--json", "1 2", "2 1"],
+    )
+    in_process = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        in_process.append((code, captured.out, captured.err))
+    src = str(Path(braidqp.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    fresh = []
+    for argv in calls:
+        done = subprocess.run(
+            [sys.executable, "-m", "braidqp.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    assert in_process == fresh
+    assert [code for code, _, _ in fresh] == [0, 2, 2, 0]
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("structure", ["standard", "dual"])

@@ -19,11 +19,15 @@ from conftest import (
     atom_suffix,
     conjugate_reference,
     greedy_meet,
+    inverse_reference,
     is_left_weighted,
     is_suffix,
+    left_multiply_reference,
+    nf_from_word_reference,
     nf_validate,
     random_nf,
     random_word,
+    right_multiply_reference,
     scan_join,
 )
 
@@ -186,6 +190,39 @@ def test_one_pass_updates_match_recomputation(which, request):
         left = st.nf_left_multiply(s, x)
         nf_validate(st, left)
         assert left == st.nf_multiply(st.nf_from_word(s_word), x)
+
+
+@pytest.mark.parametrize("make", [artin_structure, dual_structure], ids=["std", "dual"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_passes_match_full_pass_references(make, n):
+    # the library's passes stop at the first unchanged factor, its inverse
+    # reads the factors off directly, and its word reading twists once
+    st = make(n)
+    rng = random.Random(53 + n)
+    negative = gained_delta = 0
+    for _ in range(20):
+        word = BraidWord(st.ident, rng.randint(-3, 3), random_word(rng, st, rng.randrange(24)).letters)
+        x = st.nf_from_word(word)
+        assert x == nf_from_word_reference(st, word)
+        inverse = st.nf_inverse(x)
+        assert inverse == inverse_reference(st, x)
+        simples = {st.identity, st.delta, *st.atoms, *random_nf(rng, st, 8).factors}
+        if x.factors:
+            # a product that makes a Delta factor on the right, and on the left
+            simples.add(st.complement(x.factors[-1]))
+            simples.add(st.tau(st.complement_inv(x.factors[0]), -x.p))
+        outputs = [x, inverse]
+        for s in sorted(simples):
+            right = st.nf_right_multiply(x, s)
+            assert right == right_multiply_reference(st, x, s)
+            left = st.nf_left_multiply(s, x)
+            assert left == left_multiply_reference(st, s, x)
+            gained_delta += s != st.delta and right.p > x.p
+            outputs += [right, left]
+        negative += x.p < 0
+        for z in outputs:
+            nf_validate(st, z)
+    assert negative > 0 and (gained_delta > 0 or n == 2)
 
 
 @pytest.mark.parametrize("which", ["std3", "std4", "dual4"])
