@@ -266,19 +266,22 @@ def sliding_circuits(
 ) -> SlidingCircuits:
     """Enumerate the whole sliding-circuits set of the class of x."""
     sc = SlidingCircuits()
-    for _ in _grow_sliding_circuits(sc, x, max_sc, max_orbit):
+    for _ in grow_sliding_circuits(sc, x, max_sc, max_orbit):
         pass
     return sc
 
 
-def _grow_sliding_circuits(
+def grow_sliding_circuits(
     sc: SlidingCircuits, x: NormalForm, max_sc: int, max_orbit: int
 ) -> Iterator[NormalForm]:
     """Fill the empty sc with the sliding-circuits set of the class of x.
 
-    Yields each element as soon as it has its witness; elements and arrows
-    come in the same depth-first order whether or not the caller stops early.
-    One memo of circuit membership serves every candidate test of the run.
+    Yields each element as soon as sc holds its witness, x's own circuit
+    element first; elements and arrows come in the same depth-first order
+    whether or not the caller stops early, so a membership test consumes it
+    only up to the element it looks for.  Raises ResourceCapExceeded once
+    more than max_sc elements are enumerated.  One memo of circuit
+    membership serves every candidate test of the run.
     """
     st = x.structure
     memo: dict[NormalForm, bool] = {}
@@ -344,7 +347,7 @@ def are_conjugate(
         # rx lies on its circuit, so its set carries witnesses from rx itself;
         # the membership test consumes the growth only up to ry
         sc = SlidingCircuits()
-        if ry not in _grow_sliding_circuits(sc, rx, max_sc, max_orbit):
+        if ry not in grow_sliding_circuits(sc, rx, max_sc, max_orbit):
             return False, None
         wx = st.nf_multiply(wx, sc.elements[ry])
     return True, st.nf_multiply(wx, st.nf_inverse(wy))

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import functools
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .words import BraidWord, StructureId
 
@@ -311,11 +310,11 @@ class GarsideStructure(ABC):
         return x.p * self.norm(self.delta) + sum(self.norm(f) for f in x.factors)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+# a named tuple builds faster than a frozen dataclass, and one cyclic sliding builds several
+class NormalForm(NamedTuple):
     """Garside power plus left-weighted factors; the canonical element form."""
 
-    structure: GarsideStructure = field(repr=False)
+    structure: GarsideStructure
     p: int
     factors: tuple[Simple, ...]
 

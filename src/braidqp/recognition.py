@@ -5,19 +5,21 @@ atom) or in the product (x^k)^G (y^l)^G, for either Garside structure.  The
 single-class question is answered by pattern-matching the left normal form of
 the element itself, with the same shape matcher in both structures; the
 two-class question slides the element to a sliding circuit.  A positive
-circuit element spells two atoms (k = l = 1) or is tested for conjugacy to
-explicit atom-power products.  A negative one is decided in
-the dual structure, where one cycling orbit of a circuit element holds a
-conjugate whose normal form shows the product shape whenever the element lies
-in the product (Orevkov, arXiv:1406.0544): a standard query that passes the
-summit-length filter is translated to the dual structure by word, decided
-there, and its witness mapped back.  Every YES comes with a witness whose
-factors satisfy the ladder of the shape and re-multiply to a conjugate of the
-input.
+circuit element spells two atoms (k = l = 1), or its sliding-circuits set is
+grown only until it meets the circuit element of an atom-power product
+x1^k y1^l, so a YES met before max_sc elements returns.  A negative one is
+decided in the dual structure, where one cycling orbit of a circuit element
+holds a conjugate whose normal form shows the product shape whenever the
+element lies in the product (Orevkov, arXiv:1406.0544): a standard query
+that passes the summit-length filter is translated to the dual structure by
+word, decided there, and its witness mapped back.  Every YES comes with a
+witness whose factors satisfy the ladder of the shape and re-multiply to a
+conjugate of the input.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -26,10 +28,11 @@ from .conjugacy import (
     DEFAULT_MAX_ORBIT,
     DEFAULT_MAX_SC,
     ResourceCapExceeded,
+    SlidingCircuits,
     cycling,
+    grow_sliding_circuits,
     initial_factor,
     slide_to_circuit,
-    sliding_circuits,
 )
 from .core import GarsideStructure, NormalForm, Simple
 from .dual import dual_structure
@@ -245,16 +248,6 @@ def summit_length_filter(xt: NormalForm, q: RecognitionQuery) -> bool | None:
 # ----- the recognizer ---------------------------------------------------
 
 
-def _atom_power_product(st: GarsideStructure, q: RecognitionQuery, xi: int, yi: int):
-    out = st.nf(0)
-    for _ in range(q.k):
-        out = st.nf_right_multiply(out, st.atoms[xi])
-    assert q.l is not None
-    for _ in range(q.l):
-        out = st.nf_right_multiply(out, st.atoms[yi])
-    return out
-
-
 def _conjugacy_branch(
     xt: NormalForm,
     to_circuit: NormalForm,
@@ -262,30 +255,33 @@ def _conjugacy_branch(
     max_sc: int,
     max_orbit: int,
 ) -> RecognitionResult:
-    """Positive summit: test conjugacy to x1^k y1^l over all atom pairs."""
+    """Positive summit: grow SC(xt) until it meets some x1^k y1^l.
+
+    The targets are slid to their circuits in atom-pair order, up to the
+    first that lands on xt itself.  Only circuit elements with xt's summit
+    (inf, sup) can lie in SC(xt); with none, the answer is NO at once.
+    """
     st = xt.structure
-    sc = sliding_circuits(xt, max_sc, max_orbit)
-    for xi in range(len(st.atoms)):
-        for yi in range(len(st.atoms)):
-            target = _atom_power_product(st, q, xi, yi)
-            rep, wt = slide_to_circuit(target, max_orbit)
-            if rep not in sc.elements:
-                continue
+    assert q.l is not None
+    targets: dict[NormalForm, tuple[NormalForm, int, int, NormalForm]] = {}
+    for xi, yi in itertools.product(range(len(st.atoms)), repeat=2):
+        target = st.nf_from_word(BraidWord(st.ident, 0, ((xi, 1),) * q.k + ((yi, 1),) * q.l))
+        rep, wt = slide_to_circuit(target, max_orbit)
+        if (rep.inf, rep.sup) == (xt.inf, xt.sup):
+            targets.setdefault(rep, (target, xi, yi, wt))
+        if rep == xt:
+            break
+    if not targets:
+        return RecognitionResult(False)
+    sc = SlidingCircuits()
+    for rep in grow_sliding_circuits(sc, xt, max_sc, max_orbit):
+        if rep in targets:
+            target, xi, yi, wt = targets[rep]
             # x_nf --to_circuit--> xt --sc witness--> rep <--wt-- target
             conj = st.nf_multiply(to_circuit, sc.elements[rep])
             conj = st.nf_multiply(conj, st.nf_inverse(wt))
-            assert q.l is not None
             w = FormWitness(
-                target,
-                conj,
-                "conjugacy",
-                0,
-                q.k,
-                st.atoms[xi],
-                (),
-                (),
-                q.l,
-                st.atoms[yi],
+                target, conj, "conjugacy", 0, q.k, st.atoms[xi], (), (), q.l, st.atoms[yi]
             )
             return RecognitionResult(True, w)
     return RecognitionResult(False)
@@ -400,13 +396,14 @@ def recognize(
     An algebraic length other than k (+ l) is NO at once.  Single-class
     queries read the answer off the normal form of the input.  Two-class
     queries slide to a circuit.  A positive circuit element answers YES at
-    once when k = l = 1 (it spells a product of two atoms) and is otherwise
-    tested for conjugacy to explicit atom-power products; a negative one that
-    passes the summit-length filter has its dual cycling orbit
-    pattern-matched, a standard element after translation to the dual
-    structure.  max_sc bounds the sliding-circuits set of the positive-summit
-    branch, and max_orbit every sliding trajectory and the orbit walk; past
-    either, ResourceCapExceeded is raised.
+    once when k = l = 1 (it spells a product of two atoms); otherwise its
+    sliding-circuits set is grown until it meets the circuit element of some
+    x1^k y1^l.  A negative one that passes the summit-length filter has its
+    dual cycling orbit pattern-matched, a standard element after translation
+    to the dual structure.  max_sc bounds the elements that growth
+    enumerates, so a YES met first returns while a NO raises whenever the
+    whole set is larger; max_orbit bounds every sliding trajectory and the
+    orbit walk.  Past either cap, ResourceCapExceeded is raised.
     """
     st = structure_for(q.structure)
     if not isinstance(x, NormalForm):

@@ -606,3 +606,27 @@ def are_conjugate_reference(
             return False, None
         wx = st.nf_multiply(wx, sc.elements[ry])
     return True, st.nf_multiply(wx, st.nf_inverse(wy))
+
+
+def conjugacy_branch_reference(
+    xt: NormalForm, to_circuit: NormalForm, q: RecognitionQuery, max_sc: int = 100_000
+) -> RecognitionResult:
+    """The positive-summit branch decided on the whole sliding-circuits set of
+    xt: every atom pair's x1^k y1^l is slid to its circuit and looked up in it,
+    in atom-pair order."""
+    st = xt.structure
+    sc = sliding_circuits(xt, max_sc)
+    for xi in range(len(st.atoms)):
+        for yi in range(len(st.atoms)):
+            target = st.nf(0)
+            for a in (st.atoms[xi],) * q.k + (st.atoms[yi],) * q.l:
+                target = st.nf_right_multiply(target, a)
+            rep, wt = slide_to_circuit(target)
+            if rep in sc.elements:
+                conj = st.nf_multiply(to_circuit, sc.elements[rep])
+                conj = st.nf_multiply(conj, st.nf_inverse(wt))
+                w = FormWitness(
+                    target, conj, "conjugacy", 0, q.k, st.atoms[xi], (), (), q.l, st.atoms[yi]
+                )
+                return RecognitionResult(True, w)
+    return RecognitionResult(False)

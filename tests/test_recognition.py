@@ -22,11 +22,13 @@ from braidqp import (
     rebuild_witness,
     recognize,
     slide_to_circuit,
+    sliding_circuits,
     structure_for,
     summit_length_filter,
     verify_witness,
 )
 from conftest import (
+    conjugacy_branch_reference,
     is_suffix,
     random_nf,
     random_word,
@@ -372,3 +374,84 @@ def test_power_form_matches_standard_reference(n):
                     assert is_suffix(st, w.x1, w.a_factors[0])
                     fused_yes += 1
     assert fused_yes >= 100
+
+
+def _atom_power_product(st, i, j, k, l):
+    return st.nf_from_word(BraidWord(st.ident, 0, ((i, 1),) * k + ((j, 1),) * l))
+
+
+def _positive_summit_queries(st, rng, count):
+    """Queries whose summit is positive, (k, l) != (1, 1): an atom-power
+    product, a positive word or a word with one inverse letter, each of
+    algebraic length k + l and conjugated by a random 4-letter word."""
+    pairs = [(k, l) for k in (1, 2, 3) for l in (1, 2, 3) if (k, l) != (1, 1)]
+    out = []
+    while len(out) < count:
+        k, l = rng.choice(pairs)
+        atoms = [rng.randrange(len(st.atoms)) for _ in range(k + l + 2)]
+        kind = rng.randrange(3)
+        if kind == 0:
+            y = _atom_power_product(st, atoms[0], atoms[1], k, l)
+        else:
+            letters = [(a, 1) for a in atoms[: k + l]]
+            if kind == 2:
+                letters += [(atoms[-2], 1), (atoms[-1], -1)]
+                rng.shuffle(letters)
+            y = st.nf_from_word(BraidWord(st.ident, 0, tuple(letters)))
+        x = st.nf_conjugate(y, random_nf(rng, st, 4))
+        xt, c = slide_to_circuit(x)
+        if xt.p >= 0:
+            out.append((x, xt, c, RecognitionQuery(st.ident, 0, k, 0, l)))
+    return out
+
+
+@pytest.mark.parametrize("make", [artin_structure, dual_structure])
+def test_positive_summit_branch_matches_whole_set_reference(make):
+    # the growth that stops at the first target against the whole set looked
+    # up in atom-pair order: same verdicts, and every YES names x1^k y1^l
+    counts = {"yes": 0, "no by summit": 0, "no after growth": 0}
+    for n in range(3, 7):
+        st = make(n)
+        rng = random.Random(90 + n)
+        summits = {}  # (k, l) -> summit (inf, sup) of every target's circuit element
+        for x, xt, c, q in _positive_summit_queries(st, rng, 12):
+            res = recognize(x, q)
+            assert res.verdict == conjugacy_branch_reference(xt, c, q).verdict
+            if res.verdict:
+                w = res.witness
+                i, j = st.atom_index[w.x1], st.atom_index[w.y1]
+                assert w.element == _atom_power_product(st, i, j, q.k, q.l)
+                assert (w.location, w.n, w.k, w.l) == ("conjugacy", 0, q.k, q.l)
+                assert verify_witness(x, w)
+                counts["yes"] += 1
+                continue
+            if (q.k, q.l) not in summits:
+                reps = (
+                    slide_to_circuit(_atom_power_product(st, i, j, q.k, q.l))[0]
+                    for i in range(len(st.atoms))
+                    for j in range(len(st.atoms))
+                )
+                summits[q.k, q.l] = {(r.inf, r.sup) for r in reps}
+            grown = (xt.inf, xt.sup) in summits[q.k, q.l]
+            counts["no after growth" if grown else "no by summit"] += 1
+    assert min(counts.values()) >= 3, counts
+
+
+def test_positive_summit_cap_bounds_the_elements_enumerated(dual5):
+    st = dual5
+    q = RecognitionQuery(st.ident, 0, 2, 0, 1)
+    x = st.nf_from_word(parse_word("a42 a31 a31", st.ident))
+    xt, c = slide_to_circuit(x)
+    assert len(sliding_circuits(xt)) == 30
+    # a YES met among the first two elements returns under a cap of two...
+    res = recognize(x, q, max_sc=2)
+    assert res.verdict and verify_witness(x, res.witness)
+    with pytest.raises(ResourceCapExceeded):
+        conjugacy_branch_reference(xt, c, q, max_sc=2)
+    # ...a NO that passes the summit rule enumerates the whole set (10 here)...
+    z = st.nf_from_word(parse_word("a31 a42 a53", st.ident))
+    assert not recognize(z, q).verdict
+    with pytest.raises(ResourceCapExceeded):
+        recognize(z, q, max_sc=2)
+    # ...and a NO by the summit rule enumerates nothing
+    assert not recognize(st.nf_from_word(parse_word("1 2 3", st.ident)), q, max_sc=1).verdict

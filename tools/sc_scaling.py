@@ -1,23 +1,33 @@
-"""Time one sliding-circuits enumeration on Br_n, in a child process.
+"""Time a sliding-circuits enumeration and positive-summit queries on Br_n, in a child process.
 
     python3 tools/sc_scaling.py --structure standard -n 8
     python3 tools/sc_scaling.py --structure dual -n 9
 
 The word is fixed by n: the alternating generators ``1 -2 3 -4 ...`` up to
-``+-(n-1)``, then ``1 2 -3`` (in Br_8: ``1 -2 3 -4 5 -6 7 1 2 -3``).  The
-child limits its own address space to MEMORY_MB and is stopped after
+``+-(n-1)``, then ``1 2 -3`` (in Br_8: ``1 -2 3 -4 5 -6 7 1 2 -3``).  After
+``sc`` on it, the child times positive-summit ``recognize`` queries at
+(k, l) = (2, 1) on the same n and structure, from a fixed seed: 8 YES
+queries, each x_i^2 x_j conjugated by a random 6-letter positive word, and 8
+NO queries, each a random positive 3-letter word conjugated the same way
+whose permutation is not a transposition (x_i^2 x_j permutes the strands
+as x_j, a transposition, and the permutation is a conjugacy invariant).
+The child limits its own address space to MEMORY_MB and is stopped after
 TIMEOUT_S seconds.  One JSON line is printed: the status (``ok``,
 ``timeout``, ``out of memory`` or ``failed``) and, when it finished, the
-enumeration time, the number of elements and arrows and the child's peak
-RSS.  ``--src`` imports braidqp from another source tree, so that two
-checkouts can be compared on the same machine.
+enumeration time, the number of elements and arrows, the child's peak RSS
+and, under ``recognize``, the median and largest YES time and the median,
+largest and total NO time, in ms.  A run stopped after the enumeration
+keeps its figures.  ``--src`` imports braidqp from another source tree, so
+that two checkouts can be compared on the same machine.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -26,6 +36,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 TIMEOUT_S = 180.0
 MEMORY_MB = 2048
+QUERY_SEED = 8
 
 
 def word_for(n: int) -> str:
@@ -33,26 +44,68 @@ def word_for(n: int) -> str:
     return " ".join(alternating + ["1", "2", "-3"])
 
 
-def child(src: str, structure: str, n: int) -> dict:
+def queries(B, st):
+    """The fixed-seed YES and NO positive-summit queries at (k, l) = (2, 1)."""
+    rng = random.Random(QUERY_SEED)
+    m = len(st.atoms)
+
+    def conjugated(atoms):
+        x = st.nf_from_word(B.BraidWord(st.ident, 0, tuple((a, 1) for a in atoms)))
+        c = tuple((rng.randrange(m), 1) for _ in range(6))
+        return st.nf_conjugate(x, st.nf_from_word(B.BraidWord(st.ident, 0, c)))
+
+    yes, no = [], []
+    while len(yes) < 8:
+        i, j = rng.randrange(m), rng.randrange(m)
+        yes.append(conjugated((i, i, j)))
+    while len(no) < 8:
+        atoms = [rng.randrange(m) for _ in range(3)]
+        perm = st.identity
+        for a in atoms:
+            perm = B.mult(perm, st.atoms[a])
+        if sum(i != p for i, p in enumerate(perm)) != 2:
+            no.append(conjugated(atoms))
+    return yes, no
+
+
+def peak_rss_mb() -> float:
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
+def child(src: str, structure: str, n: int) -> None:
+    """Print the enumeration's line, then the queries' line; a MemoryError
+    ends the child with its traceback on stderr."""
     limit = MEMORY_MB * 1024 * 1024
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     sys.path.insert(0, src)
-    from braidqp import artin_structure, dual_structure, parse_word, sliding_circuits
+    import braidqp as B
 
-    st = (artin_structure if structure == "standard" else dual_structure)(n)
-    x = st.nf_from_word(parse_word(word_for(n), st.ident))
+    st = (B.artin_structure if structure == "standard" else B.dual_structure)(n)
+    x = st.nf_from_word(B.parse_word(word_for(n), st.ident))
     start = time.perf_counter()
-    try:
-        sc = sliding_circuits(x)
-    except MemoryError:
-        return {"status": "out of memory"}
-    return {
-        "status": "ok",
-        "seconds": round(time.perf_counter() - start, 3),
-        "elements": len(sc),
-        "arrows": len(sc.arrows),
-        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
-    }
+    sc = B.sliding_circuits(x)
+    seconds = round(time.perf_counter() - start, 3)
+    print(json.dumps({
+        "seconds": seconds, "elements": len(sc), "arrows": len(sc.arrows),
+        "peak_rss_mb": peak_rss_mb(),
+    }), flush=True)
+    q = B.RecognitionQuery(st.ident, 0, 2, 0, 1)
+    ms: dict[bool, list[float]] = {True: [], False: []}
+    for answer, xs in zip((True, False), queries(B, st)):
+        for x in xs:
+            start = time.perf_counter()
+            verdict = B.recognize(x, q).verdict
+            ms[answer].append(1000 * (time.perf_counter() - start))
+            assert verdict is answer
+    yes, no = ms[True], ms[False]
+    print(json.dumps({"status": "ok", "recognize": {
+        "yes_median_ms": round(statistics.median(yes), 2),
+        "yes_max_ms": round(max(yes), 2),
+        "no_median_ms": round(statistics.median(no), 2),
+        "no_max_ms": round(max(no), 2),
+        "no_total_ms": round(sum(no), 2),
+        "peak_rss_mb": peak_rss_mb(),
+    }}))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -65,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.n < 4:
         parser.error("the word needs at least 4 strands")
     if args.child:
-        print(json.dumps(child(args.src, args.structure, args.n)))
+        child(args.src, args.structure, args.n)
         return 0
     record = {
         "structure": args.structure,
@@ -78,16 +131,17 @@ def main(argv: list[str] | None = None) -> int:
            "-n", str(args.n), "--src", args.src]
     try:
         done = subprocess.run(cmd, capture_output=True, text=True, timeout=TIMEOUT_S)
-    except subprocess.TimeoutExpired:
+        out, err, code = done.stdout, done.stderr, done.returncode
+    except subprocess.TimeoutExpired as stopped:
+        out, err, code = (stopped.stdout or b"").decode(), "", None
+    for line in out.splitlines():
+        record.update(json.loads(line))
+    if code is None:
         record["status"] = "timeout"
-    else:
-        lines = done.stdout.strip().splitlines()
-        if done.returncode == 0 and lines:
-            record.update(json.loads(lines[-1]))
-        elif "MemoryError" in done.stderr:
-            record["status"] = "out of memory"
-        else:
-            record["status"] = "failed"
+    elif "MemoryError" in err:
+        record["status"] = "out of memory"
+    elif code != 0 or "status" not in record:
+        record["status"] = "failed"
     print(json.dumps(record))
     return 0
 
