@@ -257,18 +257,20 @@ def _conjugacy_branch(
 ) -> RecognitionResult:
     """Positive summit: grow SC(xt) until it meets some x1^k y1^l.
 
-    The targets are slid to their circuits in atom-pair order, up to the
-    first that lands on xt itself.  Only circuit elements with xt's summit
-    (inf, sup) can lie in SC(xt); with none, the answer is NO at once.
-    """
+    The targets, products of atom powers each read once, are slid to their
+    circuits in atom-pair order up to the first that lands on xt itself; only
+    those with xt's summit (inf, sup) can lie in SC(xt)."""
     st = xt.structure
     assert q.l is not None
-    targets: dict[NormalForm, tuple[NormalForm, int, int, NormalForm]] = {}
-    for xi, yi in itertools.product(range(len(st.atoms)), repeat=2):
-        target = st.nf_from_word(BraidWord(st.ident, 0, ((xi, 1),) * q.k + ((yi, 1),) * q.l))
+    atoms = range(len(st.atoms))
+    power = {e: [st.nf_from_word(BraidWord(st.ident, 0, ((i, 1),) * e)) for i in atoms]
+             for e in (q.k, q.l)}
+    targets: dict[NormalForm, tuple[NormalForm, Simple, Simple, NormalForm]] = {}
+    for xi, yi in itertools.product(atoms, repeat=2):
+        target = st.nf_multiply(power[q.k][xi], power[q.l][yi])
         rep, wt = slide_to_circuit(target, max_orbit)
         if (rep.inf, rep.sup) == (xt.inf, xt.sup):
-            targets.setdefault(rep, (target, xi, yi, wt))
+            targets.setdefault(rep, (target, st.atoms[xi], st.atoms[yi], wt))
         if rep == xt:
             break
     if not targets:
@@ -276,13 +278,11 @@ def _conjugacy_branch(
     sc = SlidingCircuits()
     for rep in grow_sliding_circuits(sc, xt, max_sc, max_orbit):
         if rep in targets:
-            target, xi, yi, wt = targets[rep]
+            target, x1, y1, wt = targets[rep]
             # x_nf --to_circuit--> xt --sc witness--> rep <--wt-- target
             conj = st.nf_multiply(to_circuit, sc.elements[rep])
             conj = st.nf_multiply(conj, st.nf_inverse(wt))
-            w = FormWitness(
-                target, conj, "conjugacy", 0, q.k, st.atoms[xi], (), (), q.l, st.atoms[yi]
-            )
+            w = FormWitness(target, conj, "conjugacy", 0, q.k, x1, (), (), q.l, y1)
             return RecognitionResult(True, w)
     return RecognitionResult(False)
 

@@ -376,7 +376,7 @@ def test_power_form_matches_standard_reference(n):
     assert fused_yes >= 100
 
 
-def _atom_power_product(st, i, j, k, l):
+def _power_product(st, i, j, k, l):
     return st.nf_from_word(BraidWord(st.ident, 0, ((i, 1),) * k + ((j, 1),) * l))
 
 
@@ -391,7 +391,7 @@ def _positive_summit_queries(st, rng, count):
         atoms = [rng.randrange(len(st.atoms)) for _ in range(k + l + 2)]
         kind = rng.randrange(3)
         if kind == 0:
-            y = _atom_power_product(st, atoms[0], atoms[1], k, l)
+            y = _power_product(st, atoms[0], atoms[1], k, l)
         else:
             letters = [(a, 1) for a in atoms[: k + l]]
             if kind == 2:
@@ -420,14 +420,14 @@ def test_positive_summit_branch_matches_whole_set_reference(make):
             if res.verdict:
                 w = res.witness
                 i, j = st.atom_index[w.x1], st.atom_index[w.y1]
-                assert w.element == _atom_power_product(st, i, j, q.k, q.l)
+                assert w.element == _power_product(st, i, j, q.k, q.l)
                 assert (w.location, w.n, w.k, w.l) == ("conjugacy", 0, q.k, q.l)
                 assert verify_witness(x, w)
                 counts["yes"] += 1
                 continue
             if (q.k, q.l) not in summits:
                 reps = (
-                    slide_to_circuit(_atom_power_product(st, i, j, q.k, q.l))[0]
+                    slide_to_circuit(_power_product(st, i, j, q.k, q.l))[0]
                     for i in range(len(st.atoms))
                     for j in range(len(st.atoms))
                 )
