@@ -97,9 +97,8 @@ class GarsideStructure(ABC):
     # ----- divisibility and lattice operations --------------------------
 
     def is_prefix(self, a: Simple, b: Simple) -> bool:
-        """a divides b on the left within the simple interval."""
-        q = mult(inverse_perm(a), b)
-        return self.is_simple_payload(q) and self.norm(a) + self.norm(q) == self.norm(b)
+        """a divides b on the left: the lattice test, a meet b equals a."""
+        return self.meet(a, b) == a
 
     def left_quotient(self, a: Simple, b: Simple) -> Simple:
         """The simple a^{-1} b; caller guarantees a is a prefix of b."""

@@ -52,57 +52,57 @@ def is_reduced(pa: PAForm) -> bool:
     return (n - pa.p) % 2 == 0 and all(x >= 2 for x in pa.a)
 
 
-def is_almost_reduced(pa: PAForm) -> bool:
-    """Reduced up to the first exponent, which may be 1."""
-    n = pa.n
-    if n >= 2 and (n - pa.p) % 2 != 0:
-        return False
-    return all(x >= 2 for x in pa.a[1:])
-
-
 def reduce(pa: PAForm) -> PAForm:
     """Apply elementary reductions until none applies.
 
     The result is conjugate to the input (merges of the two end runs, removal
     of an exponent 1 with its neighbours decremented, rotations of the vector
     when the parities of p and n agree, and twisting by the half twist)."""
-    p = pa.p
-    a = list(pa.a)
+    p, a = _reduce(pa.p, list(pa.a))
+    return PAForm(p, tuple(a))
+
+
+def _reduce(p: int, a: list[int]) -> tuple[int, list[int]]:
+    """The reduction loop behind ``reduce`` and the recursion of ``_qp3``.
+
+    A negative entry is the recursion's flag on its absolute value, so entries
+    are compared and combined through ``abs``: an entry the reductions do not
+    touch keeps its sign, one they decrement or merge becomes positive.  An
+    exponent 1 is never flagged."""
     while True:
         a = _merge_zeros(a)
         n = len(a)
         if n <= 1:
-            return PAForm(p, tuple(a))
+            return p, a
         if (n - p) % 2 != 0:
             # merge the end runs: the two outer runs use the same generator
-            a = [a[0] + a[-1]] + a[1:-1]
+            a = [abs(a[0]) + abs(a[-1])] + a[1:-1]
             continue
-        if a == [1, 1]:
-            return PAForm(p, (1, 1))  # p is even here
-        if all(x >= 2 for x in a):
-            return PAForm(p, tuple(a))
+        if a == [1, 1] or all(abs(x) >= 2 for x in a):
+            return p, a  # for [1, 1], p is even here
         # rotate an exponent 1 to the front (a conjugation when p = n mod 2)
         i = a.index(1)
         a = a[i:] + a[:i]
-        n = len(a)
+        p += 1
         if a[-1] == 1:
             # the 1-run at each end: the ends merge around Delta
-            p += 1
             if n == 3:
-                a = [a[1] - 1]
+                a = [abs(a[1]) - 1]
             else:
-                a[1] = a[1] + a[-2] - 1
+                a[1] = abs(a[1]) + abs(a[-2]) - 1
                 a = [a[n - 3]] + a[1 : n - 3]
         else:
             # remove the leading 1, decrementing its two cyclic neighbours
-            p += 1
             a = a[1:]
-            a[0] -= 1
-            a[-1] -= 1
+            a[0] = abs(a[0]) - 1
+            a[-1] = abs(a[-1]) - 1
 
 
 def _merge_zeros(a: list[int]) -> list[int]:
-    """Drop vanished runs: an interior zero fuses its two neighbours."""
+    """Drop vanished runs: an interior zero fuses its two neighbours.
+
+    A flagged vector of the recursion has no interior 1, so no interior zero
+    arises on it and the fused entries here are never flagged."""
     while 0 in a:
         i = a.index(0)
         if i == 0 or i == len(a) - 1:
@@ -146,13 +146,6 @@ def pa_form_element(pa: PAForm) -> NormalForm:
     return out
 
 
-def f_i(a: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """Replace entry i (1-indexed) by 1."""
-    if not 1 <= i <= len(a):
-        raise ValueError(f"index {i} out of range")
-    return a[: i - 1] + (1,) + a[i:]
-
-
 def signature_nullity(pa: PAForm) -> tuple[int, int]:
     """(Sign + Null, Null) of the closure, in closed form.
 
@@ -173,36 +166,15 @@ def qp_half_twist_power(q: int, n: int) -> bool:
     return (q == 0 and n == 0) or (q >= 0 and 2 * n < 5 * q)
 
 
-def _qp3(p: int, a: list[int], n: int, e: int) -> bool:
+def _qp3(p: int, a: list[int], e: int) -> bool:
     """The recursion on signed exponent vectors.
 
     A negative entry records that replacing that entry by 1 is already known
     not to give a quasipositive braid; the flag survives reductions that do
     not touch the entry, and rotations keep the vector almost reduced so
     only the first entry ever needs replacing."""
-    # reduce (p, a), assuming abs(a[i]) > 1 for i > 0
-    while n > 1:
-        if a[0] == 1 and a[n - 1] == 1:
-            if n == 2:
-                break
-            p += 1
-            if n == 3:
-                a = [abs(a[1]) - 1]
-                n = 1
-                break
-            a[1] = abs(a[1]) + abs(a[n - 2]) - 1
-            n -= 3
-            a = [a[n]] + a[1:n]
-            break
-        if a[0] == 1:
-            a = a[1:]
-        elif a[n - 1] != 1:
-            break
-        p += 1
-        n -= 1
-        a[0] = abs(a[0]) - 1
-        a[n - 1] = abs(a[n - 1]) - 1
-    # now (p, a) is reduced
+    p, a = _reduce(p, a)
+    n = len(a)
     if p >= 0:
         return True
     if not 0 < p + n < 2 * e:
@@ -212,18 +184,16 @@ def _qp3(p: int, a: list[int], n: int, e: int) -> bool:
     for _ in range(n):
         if a[0] > 0:
             e1 = e - a[0] + 1
-            if e1 >= 0 and _qp3(p, [1] + a[1:n], n, e1):
+            if e1 >= 0 and _qp3(p, [1] + a[1:], e1):
                 return True
             a[0] = -a[0]
-        a = a[1:n] + [a[0]]  # cyclic rotation, carrying the sign flag
+        a = a[1:] + [a[0]]  # cyclic rotation, carrying the sign flag
     return False
 
 
 def qp3(pa: PAForm) -> bool:
-    """Whether X(p, a) is quasipositive."""
-    if not (is_almost_reduced(pa) or is_reduced(pa)):
-        pa = reduce(pa)
-    return _qp3(pa.p, list(pa.a), pa.n, pa.e)
+    """Whether X(p, a) is quasipositive, for any pair: reduced or not."""
+    return _qp3(pa.p, list(pa.a), pa.e)
 
 
 def is_quasipositive_3braid(w: BraidWord | NormalForm) -> bool:

@@ -15,6 +15,7 @@ from braidqp import (
     FormWitness,
     GarsideStructure,
     NormalForm,
+    PAForm,
     RecognitionQuery,
     RecognitionResult,
     ResourceCapExceeded,
@@ -33,6 +34,7 @@ from braidqp import (
     sliding_circuits,
     summit_length_filter,
 )
+from braidqp.qp3 import is_reduced
 
 
 @pytest.fixture(scope="session")
@@ -630,3 +632,105 @@ def conjugacy_branch_reference(
                 )
                 return RecognitionResult(True, w)
     return RecognitionResult(False)
+
+
+def reduce_reference(pa: PAForm) -> PAForm:
+    """The elementary reductions of (p, a) on a positive vector; the
+    recursion in ``_qp3_reference`` reduces its flagged vectors by a second
+    loop of its own."""
+    p = pa.p
+    a = list(pa.a)
+    while True:
+        a = _merge_zeros_reference(a)
+        n = len(a)
+        if n <= 1:
+            return PAForm(p, tuple(a))
+        if (n - p) % 2 != 0:
+            a = [a[0] + a[-1]] + a[1:-1]
+            continue
+        if a == [1, 1]:
+            return PAForm(p, (1, 1))
+        if all(x >= 2 for x in a):
+            return PAForm(p, tuple(a))
+        i = a.index(1)
+        a = a[i:] + a[:i]
+        n = len(a)
+        if a[-1] == 1:
+            p += 1
+            if n == 3:
+                a = [a[1] - 1]
+            else:
+                a[1] = a[1] + a[-2] - 1
+                a = [a[n - 3]] + a[1 : n - 3]
+        else:
+            p += 1
+            a = a[1:]
+            a[0] -= 1
+            a[-1] -= 1
+
+
+def _merge_zeros_reference(a: list[int]) -> list[int]:
+    while 0 in a:
+        i = a.index(0)
+        if i == 0 or i == len(a) - 1:
+            a.pop(i)
+        else:
+            a = a[: i - 1] + [a[i - 1] + a[i + 1]] + a[i + 2 :]
+    return a
+
+
+def _is_almost_reduced_reference(pa: PAForm) -> bool:
+    """Reduced up to the first exponent, which may be 1."""
+    n = pa.n
+    if n >= 2 and (n - pa.p) % 2 != 0:
+        return False
+    return all(x >= 2 for x in pa.a[1:])
+
+
+def _qp3_reference(p: int, a: list[int], n: int, e: int) -> bool:
+    """The recursion with its own reduction loop, which assumes
+    abs(a[i]) > 1 for i > 0; a negative entry is a failed branch's flag."""
+    while n > 1:
+        if a[0] == 1 and a[n - 1] == 1:
+            if n == 2:
+                break
+            p += 1
+            if n == 3:
+                a = [abs(a[1]) - 1]
+                n = 1
+                break
+            a[1] = abs(a[1]) + abs(a[n - 2]) - 1
+            n -= 3
+            a = [a[n]] + a[1:n]
+            break
+        if a[0] == 1:
+            a = a[1:]
+        elif a[n - 1] != 1:
+            break
+        p += 1
+        n -= 1
+        a[0] = abs(a[0]) - 1
+        a[n - 1] = abs(a[n - 1]) - 1
+    if p >= 0:
+        return True
+    if not 0 < p + n < 2 * e:
+        return False
+    if 3 * n + 5 * p >= 0:
+        return True
+    for _ in range(n):
+        if a[0] > 0:
+            e1 = e - a[0] + 1
+            if e1 >= 0 and _qp3_reference(p, [1] + a[1:n], n, e1):
+                return True
+            a[0] = -a[0]
+        a = a[1:n] + [a[0]]
+    return False
+
+
+def qp3_reference(pa: PAForm) -> bool:
+    """3-braid quasipositivity with two reductions: ``reduce_reference``
+    unless the pair is almost reduced, then the recursion's own loop."""
+    if not (_is_almost_reduced_reference(pa) or is_reduced(pa)):
+        pa = reduce_reference(pa)
+    return _qp3_reference(pa.p, list(pa.a), pa.n, pa.e)
+

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -18,14 +19,12 @@ from braidqp import (
     to_pa_form,
 )
 from braidqp.qp3 import (
-    f_i,
-    is_almost_reduced,
     is_reduced,
     pa_form_element,
     reduce,
     signature_nullity,
 )
-from conftest import random_word
+from conftest import qp3_reference, random_word, reduce_reference
 
 
 ST3 = artin_structure(3)
@@ -50,13 +49,6 @@ def test_is_reduced_cases():
     assert is_reduced(PAForm(-2, (2, 3)))
     assert not is_reduced(PAForm(-1, (2, 3)))  # n - p odd
     assert not is_reduced(PAForm(0, (1, 3)))  # an exponent below 2
-
-
-def test_is_almost_reduced_cases():
-    assert is_almost_reduced(PAForm(0, (1, 3)))
-    assert is_almost_reduced(PAForm(-2, (5, 2)))
-    assert not is_almost_reduced(PAForm(1, (1, 3)))  # parity mismatch
-    assert not is_almost_reduced(PAForm(0, (2, 1)))  # interior 1
 
 
 def test_reduce_reaches_reduced_form():
@@ -142,15 +134,6 @@ def test_qp3_conjugation_invariance():
         assert is_quasipositive_3braid(x) == is_quasipositive_3braid(conj)
 
 
-def test_f_i():
-    assert f_i((3, 4, 5), 1) == (1, 4, 5)
-    assert f_i((3, 4, 5), 3) == (3, 4, 1)
-    with pytest.raises(ValueError):
-        f_i((3,), 2)
-    with pytest.raises(ValueError):
-        f_i((3,), 0)
-
-
 def test_qp3_monotone_in_exponents():
     rng = random.Random(23)
     for _ in range(200):
@@ -162,6 +145,57 @@ def test_qp3_monotone_in_exponents():
         big = tuple(x + rng.randrange(0, 3) for x in small)
         if qp3(PAForm(p, small)):
             assert qp3(PAForm(p, big))
+
+
+def _counted(monkeypatch, module, name: str) -> list[int]:
+    """Wrap the module-level function ``name``, recursive calls included, so
+    that the returned one-element list counts its calls."""
+    calls = [0]
+    inner = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _general_forms(rng: random.Random, count: int):
+    for _ in range(count):
+        n = rng.randrange(0, 11)
+        yield PAForm(rng.randrange(-12, 4), tuple(rng.randrange(1, 7) for _ in range(n)))
+
+
+def _branching_forms(rng: random.Random, count: int):
+    """Almost reduced forms with matched parity and p <= -1: the first entry
+    may be 1, the others are at least 2, so the reductions keep the vector
+    long and the recursion branches (and flags) below its root."""
+    for _ in range(count):
+        n = rng.randrange(0, 11)
+        p = rng.randrange(-8, 0)
+        if (n - p) % 2 != 0:
+            p -= 1
+        yield PAForm(p, tuple(rng.randrange(2 if i else 1, 5) for i in range(n)))
+
+
+@pytest.mark.parametrize("forms, seed, count", [(_general_forms, 31, 3000), (_branching_forms, 37, 1500)])
+def test_one_reduction_matches_the_two_reference_reductions(monkeypatch, forms, seed, count):
+    """qp3 reduces through reduce's loop alone; verdicts, reduced forms and
+    the number of recursion nodes equal those of the two-loop reference."""
+    nodes = _counted(monkeypatch, sys.modules[qp3.__module__], "_qp3")
+    reference_nodes = _counted(monkeypatch, sys.modules[qp3_reference.__module__], "_qp3_reference")
+    verdicts = [0, 0]
+    for pa in forms(random.Random(seed), count):
+        assert reduce(pa) == reduce_reference(pa), pa
+        before = (nodes[0], reference_nodes[0])
+        verdict = qp3(pa)
+        assert verdict == qp3_reference(pa), pa
+        assert nodes[0] - before[0] == reference_nodes[0] - before[1], pa
+        verdicts[verdict] += 1
+    # both verdicts occur, and the recursion goes below its root
+    assert min(verdicts) > count // 5
+    assert nodes[0] > count
 
 
 # ----- the letter-deletion oracle ---------------------------------------
