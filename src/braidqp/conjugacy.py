@@ -21,13 +21,13 @@ any sliding.
 One enumeration keeps a memo of which elements lie on a circuit, so a
 candidate's sliding walk stops at the first element an earlier walk of the
 same enumeration already decided.  The enumeration is grown lazily, so that
-a conjugacy test stops as soon as it meets the circuit element it looks for.
+conjugate_to_first, the one conjugacy search, stops at the first target met.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Container, Iterator
+from typing import Callable, Container, Iterable, Iterator
 
 from .core import NormalForm, Simple, mult
 
@@ -266,12 +266,12 @@ def sliding_circuits(
 ) -> SlidingCircuits:
     """Enumerate the whole sliding-circuits set of the class of x."""
     sc = SlidingCircuits()
-    for _ in grow_sliding_circuits(sc, x, max_sc, max_orbit):
+    for _ in _grow_sliding_circuits(sc, x, max_sc, max_orbit):
         pass
     return sc
 
 
-def grow_sliding_circuits(
+def _grow_sliding_circuits(
     sc: SlidingCircuits, x: NormalForm, max_sc: int, max_orbit: int
 ) -> Iterator[NormalForm]:
     """Fill the empty sc with the sliding-circuits set of the class of x.
@@ -317,6 +317,37 @@ def grow_sliding_circuits(
                 yield z
 
 
+def conjugate_to_first(
+    rx: NormalForm, wx: NormalForm, targets: Iterable[NormalForm], max_sc: int, max_orbit: int
+) -> tuple[int, NormalForm] | None:
+    """A target conjugate to x, as (index, c) with c^{-1} x c = targets[index].
+
+    rx is a circuit element and wx^{-1} x wx = rx.  The targets are slid to
+    their circuits in order, and the first that lands on rx answers at once.
+    Otherwise, if some target has rx's summit (inf, sup), SC(rx) is grown
+    until it meets such a target's circuit element, and the first target with
+    it answers.  So a YES can return before max_sc elements are enumerated,
+    while None, which needs the whole set, raises ResourceCapExceeded past it.
+    """
+    st = rx.structure
+    kept: dict[NormalForm, tuple[int, NormalForm]] = {}
+    for i, target in enumerate(targets):
+        rt, wt = slide_to_circuit(target, max_orbit)
+        if rt == rx:
+            return i, st.nf_multiply(wx, st.nf_inverse(wt))
+        if (rt.inf, rt.sup) == (rx.inf, rx.sup):
+            kept.setdefault(rt, (i, wt))
+    if not kept:
+        return None
+    sc = SlidingCircuits()
+    for z in _grow_sliding_circuits(sc, rx, max_sc, max_orbit):
+        if z in kept:
+            i, wt = kept[z]
+            c = st.nf_multiply(wx, sc.elements[z])
+            return i, st.nf_multiply(c, st.nf_inverse(wt))
+    return None
+
+
 def are_conjugate(
     x: NormalForm,
     y: NormalForm,
@@ -325,14 +356,8 @@ def are_conjugate(
 ) -> tuple[bool, NormalForm | None]:
     """Decide conjugacy; on success also return c with c^{-1} x c = y.
 
-    Both elements are slid to a circuit first.  Different summit (inf, sup)
-    decide NO and equal circuit elements decide YES.  Otherwise the
-    sliding-circuits set of x is grown from the circuit element already
-    found, and the growth stops as soon as it reaches y's circuit element:
-    a YES enumerates only part of the set, a NO all of it.  ``max_sc`` bounds
-    the elements enumerated, so a YES found before the cap returns even when
-    the whole set is larger than the cap, while a NO raises
-    ResourceCapExceeded whenever the whole set is larger than the cap.
+    Different algebraic lengths decide NO; otherwise conjugate_to_first
+    looks for y from x's circuit element, under its caps.
     """
     st = x.structure
     if y.structure is not st:
@@ -340,15 +365,5 @@ def are_conjugate(
     if st.nf_algebraic_length(x) != st.nf_algebraic_length(y):
         return False, None
     rx, wx = slide_to_circuit(x, max_orbit)
-    ry, wy = slide_to_circuit(y, max_orbit)
-    if (rx.inf, rx.sup) != (ry.inf, ry.sup):
-        return False, None
-    if rx != ry:
-        # rx lies on its circuit, so its set carries witnesses from rx itself;
-        # the membership test consumes the growth only up to ry
-        sc = SlidingCircuits()
-        if ry not in grow_sliding_circuits(sc, rx, max_sc, max_orbit):
-            return False, None
-        wx = st.nf_multiply(wx, sc.elements[ry])
-    return True, st.nf_multiply(wx, st.nf_inverse(wy))
-
+    hit = conjugate_to_first(rx, wx, (y,), max_sc, max_orbit)
+    return (False, None) if hit is None else (True, hit[1])

@@ -43,12 +43,12 @@ class GarsideStructure(ABC):
     normal forms) is derived here.  All operations are pure, so instances are
     safe to share between threads.
 
-    Six primitives keep an unbounded memo per instance, made in ``__init__``;
-    each has thousands of hits in the three bench workloads at seed 1:
-    ``local_sliding`` (430k), ``tau`` (233k) and ``complement`` (190k) in
-    every multiplication, ``is_prefix`` (34k) in arrow and shape tests,
-    ``norm`` (17k) and ``spell_simple`` (11k).  Bounding them slowed the
-    sliding-circuit searches more than it saved.
+    Six primitives keep an unbounded memo per instance, made in ``__init__``,
+    because the same simples come back again and again: ``local_sliding``,
+    ``tau`` and ``complement`` in every multiplication, ``is_prefix`` in arrow
+    and shape tests, ``norm`` in arrow order and lengths, ``spell_simple`` in
+    every word written.  Without the last three the bench ran slower, and
+    bounding all six slowed the sliding-circuit searches more than it saved.
     """
 
     ident: StructureId

@@ -2,24 +2,23 @@
 
 Decides whether a braid lies in (x^k)^G (a single class of k-th powers of an
 atom) or in the product (x^k)^G (y^l)^G, for either Garside structure.  The
-single-class question is answered by pattern-matching the left normal form of
-the element itself, with the same shape matcher in both structures; the
-two-class question slides the element to a sliding circuit.  A positive
-circuit element spells two atoms (k = l = 1), or its sliding-circuits set is
-grown only until it meets the circuit element of an atom-power product
-x1^k y1^l, so a YES met before max_sc elements returns.  A negative one is
-decided in the dual structure, where one cycling orbit of a circuit element
-holds a conjugate whose normal form shows the product shape whenever the
-element lies in the product (Orevkov, arXiv:1406.0544): a standard query
+single-class question is read off the element's own left normal form by one
+shape matcher for both structures, which computes the B factors of the
+ladder A_i g^{i-1} B_i = g^i from the A factors.  The two-class question
+slides the element to a sliding circuit.  A positive circuit element spells
+two atoms (k = l = 1), or the products x1^k y1^l go, in atom-pair order, to
+conjugacy.conjugate_to_first, the search are_conjugate uses.  A negative one
+is decided in the dual structure, where one cycling orbit of a circuit
+element holds a conjugate whose normal form shows the product shape whenever
+the element lies in the product (Orevkov, arXiv:1406.0544): a standard query
 that passes the summit-length filter is translated to the dual structure by
 word, decided there, and its witness mapped back.  Every YES comes with a
-witness whose factors satisfy the ladder of the shape and re-multiply to a
-conjugate of the input.
+witness whose factors satisfy the ladder and re-multiply to a conjugate of
+the input.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -28,13 +27,12 @@ from .conjugacy import (
     DEFAULT_MAX_ORBIT,
     DEFAULT_MAX_SC,
     ResourceCapExceeded,
-    SlidingCircuits,
+    conjugate_to_first,
     cycling,
-    grow_sliding_circuits,
     initial_factor,
     slide_to_circuit,
 )
-from .core import GarsideStructure, NormalForm, Simple
+from .core import GarsideStructure, NormalForm, Simple, inverse_perm, mult
 from .dual import dual_structure
 from .words import (
     BraidWord,
@@ -131,8 +129,8 @@ def verify_witness(original: NormalForm, w: FormWitness) -> bool:
     re-multiply to the conjugated input."""
     st = original.structure
     return (
-        len(w.a_factors) == len(w.b_factors) == w.n
-        and _ladder_holds(st, w.a_factors, w.b_factors)
+        len(w.a_factors) == w.n
+        and tuple(w.b_factors) == _ladder_b_factors(st, w.a_factors)
         and rebuild_witness(w) == w.element
         and st.nf_conjugate(original, w.conjugator) == w.element
     )
@@ -148,16 +146,10 @@ def _constant_atom_run(st: GarsideStructure, factors: tuple[Simple, ...]) -> Sim
     return None
 
 
-def _ladder_holds(
-    st: GarsideStructure, a_factors: tuple[Simple, ...], b_factors: tuple[Simple, ...]
-) -> bool:
-    """A_i g^{i-1} B_i = g^i for every i, by explicit multiplication."""
-    for i, (a, b) in enumerate(zip(a_factors, b_factors), start=1):
-        t = st.nf_mult_delta(st.nf_of_simple(a), i - 1)
-        t = st.nf_right_multiply(t, b)
-        if t != st.nf(i):
-            return False
-    return True
+def _ladder_b_factors(st: GarsideStructure, a_factors: tuple[Simple, ...]) -> tuple[Simple, ...]:
+    """The B_i with A_i g^{i-1} B_i = g^i for every i: since A_i g^{i-1} is
+    g^{i-1} tau^{i-1}(A_i), B_i is the complement of tau^{i-1}(A_i)."""
+    return tuple(st.complement(st.tau(a, i)) for i, a in enumerate(a_factors))
 
 
 def _match_shape(xt: NormalForm, k: int, l: int) -> FormWitness | None:
@@ -167,37 +159,37 @@ def _match_shape(xt: NormalForm, k: int, l: int) -> FormWitness | None:
     n >= 1, k-1 factors with the last x1 fused into B_1 (the left normal
     form of a conjugate of a standard atom power): the fused form has one
     factor fewer, so its length tells the two apart.  The y1-run, if any, is
-    l whole factors.  The ladder A_i g^{i-1} B_i = g^i decides; at i = 1 it
-    gives A_1 = complement_inv(x1 B_1) . x1, so x1 ends A_1.
+    l whole factors.  The A factors fix the B factors, and a fused x1 is the
+    one simple with x1 B_1 equal to its factor.
     """
     st = xt.structure
     n = -xt.p
     factors = xt.factors
     if n < 0:
         return None  # inf >= 1: no conjugate of an atom power has that form
-    y1 = None
-    if len(factors) == 2 * n + k + l:
-        x1 = _constant_atom_run(st, factors[n : n + k])
-        y1 = _constant_atom_run(st, factors[2 * n + k :]) if l else None
-        if x1 is None or (l and y1 is None):
-            return None
-        splits = ((x1, factors[n + k : 2 * n + k]),)
-    elif l == 0 and n >= 1 and len(factors) == 2 * n + k - 1:
-        fused = factors[n + k - 1]  # the factor x1 B_1
-        run = factors[n : n + k - 1]
-        x1s = (_constant_atom_run(st, run),) if run else st.atoms
-        splits = (
-            (x1, (st.left_quotient(x1, fused),) + factors[n + k :])
-            for x1 in x1s
-            if x1 is not None and st.is_prefix(x1, fused)
-        )
-    else:
+    fused = l == 0 and n >= 1 and len(factors) == 2 * n + k - 1
+    if not fused and len(factors) != 2 * n + k + l:
         return None
     a_factors = tuple(reversed(factors[:n]))  # (A_1, ..., A_n)
-    for x1, b_factors in splits:
-        if _ladder_holds(st, a_factors, b_factors):
-            return FormWitness(xt, st.nf(0), "input", n, k, x1, a_factors, b_factors, l, y1)
-    return None
+    b_factors = _ladder_b_factors(st, a_factors)
+    y1 = None
+    if fused:
+        head = factors[n + k - 1]  # the factor x1 B_1
+        x1 = mult(head, inverse_perm(b_factors[0]))
+        ok = (
+            x1 in st.atom_index
+            and factors[n : n + k - 1] == (x1,) * (k - 1)
+            and st.is_prefix(x1, head)
+            and factors[n + k :] == b_factors[1:]
+        )
+    else:
+        x1 = _constant_atom_run(st, factors[n : n + k])
+        y1 = _constant_atom_run(st, factors[2 * n + k :]) if l else None
+        ok = x1 is not None and (not l or y1 is not None)
+        ok = ok and factors[n + k : 2 * n + k] == b_factors
+    if not ok:
+        return None
+    return FormWitness(xt, st.nf(0), "input", n, k, x1, a_factors, b_factors, l, y1)
 
 
 def match_power_form(xt: NormalForm, q: RecognitionQuery) -> FormWitness | None:
@@ -255,36 +247,25 @@ def _conjugacy_branch(
     max_sc: int,
     max_orbit: int,
 ) -> RecognitionResult:
-    """Positive summit: grow SC(xt) until it meets some x1^k y1^l.
-
-    The targets, products of atom powers each read once, are slid to their
-    circuits in atom-pair order up to the first that lands on xt itself; only
-    those with xt's summit (inf, sup) can lie in SC(xt)."""
+    """Positive summit: conjugate_to_first looks for xt among the products
+    x1^k y1^l, in atom-pair order, built from atom powers read once."""
     st = xt.structure
     assert q.l is not None
-    atoms = range(len(st.atoms))
-    power = {e: [st.nf_from_word(BraidWord(st.ident, 0, ((i, 1),) * e)) for i in atoms]
+    m = len(st.atoms)
+    power = {e: [st.nf_from_word(BraidWord(st.ident, 0, ((i, 1),) * e)) for i in range(m)]
              for e in (q.k, q.l)}
-    targets: dict[NormalForm, tuple[NormalForm, Simple, Simple, NormalForm]] = {}
-    for xi, yi in itertools.product(atoms, repeat=2):
-        target = st.nf_multiply(power[q.k][xi], power[q.l][yi])
-        rep, wt = slide_to_circuit(target, max_orbit)
-        if (rep.inf, rep.sup) == (xt.inf, xt.sup):
-            targets.setdefault(rep, (target, st.atoms[xi], st.atoms[yi], wt))
-        if rep == xt:
-            break
-    if not targets:
+
+    def target(index: int) -> NormalForm:
+        i, j = divmod(index, m)
+        return st.nf_multiply(power[q.k][i], power[q.l][j])
+
+    hit = conjugate_to_first(xt, to_circuit, map(target, range(m * m)), max_sc, max_orbit)
+    if hit is None:
         return RecognitionResult(False)
-    sc = SlidingCircuits()
-    for rep in grow_sliding_circuits(sc, xt, max_sc, max_orbit):
-        if rep in targets:
-            target, x1, y1, wt = targets[rep]
-            # x_nf --to_circuit--> xt --sc witness--> rep <--wt-- target
-            conj = st.nf_multiply(to_circuit, sc.elements[rep])
-            conj = st.nf_multiply(conj, st.nf_inverse(wt))
-            w = FormWitness(target, conj, "conjugacy", 0, q.k, x1, (), (), q.l, y1)
-            return RecognitionResult(True, w)
-    return RecognitionResult(False)
+    index, conj = hit
+    x1, y1 = (st.atoms[i] for i in divmod(index, m))
+    w = FormWitness(target(index), conj, "conjugacy", 0, q.k, x1, (), (), q.l, y1)
+    return RecognitionResult(True, w)
 
 
 def _summit_conjugates(

@@ -31,6 +31,7 @@ from braidqp import (
     sliding_circuits,
     verify_witness,
 )
+from braidqp.conjugacy import DEFAULT_MAX_ORBIT, DEFAULT_MAX_SC, conjugate_to_first
 from conftest import (
     are_conjugate_reference,
     band_atom,
@@ -429,6 +430,43 @@ def test_membership_memo_agrees_with_plain_walks(make):
                 assert not on or memo.get(cyclic_sliding(z)) is True
             seen.update(memo.values())
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("make", [artin_structure, dual_structure])
+def test_conjugate_to_first_against_the_whole_set(make):
+    # among shuffled conjugates of x and of x with one letter replaced by an
+    # inverse, the search answers None exactly when no target's circuit
+    # element lies in the whole set SC(rx), and otherwise conjugates x onto
+    # the target it names
+    rng = random.Random(35)
+    counts = dict.fromkeys(("yes at once", "yes after growth", "none by summit", "none"), 0)
+    for n in (3, 4, 5):
+        st = make(n)
+        for _ in range(10):
+            w = random_word(rng, st, rng.randrange(3, 8))
+            x = st.nf_from_word(w)
+            rx, wx = slide_to_circuit(x)
+            whole = sliding_circuits_reference(rx).elements
+            conjugates = rng.choice((0, 0, 1, 2))
+            targets = [st.nf_conjugate(x, random_nf(rng, st, 4)) for _ in range(conjugates)]
+            for _ in range(rng.randrange(1, 4)):
+                letters = list(w.letters)
+                i = rng.randrange(len(letters))
+                letters[i] = (rng.randrange(len(st.atoms)), -letters[i][1])
+                z = st.nf_from_word(BraidWord(st.ident, 0, tuple(letters)))
+                targets.append(st.nf_conjugate(z, random_nf(rng, st, 3)))
+            rng.shuffle(targets)
+            circuits = [slide_to_circuit(t)[0] for t in targets]
+            hit = conjugate_to_first(rx, wx, targets, DEFAULT_MAX_SC, DEFAULT_MAX_ORBIT)
+            assert (hit is None) == all(r not in whole for r in circuits)
+            if hit is None:
+                summits = {(r.inf, r.sup) for r in circuits}
+                counts["none" if (rx.inf, rx.sup) in summits else "none by summit"] += 1
+                continue
+            i, c = hit
+            assert st.nf_conjugate(x, c) == targets[i]
+            counts["yes at once" if circuits[i] == rx else "yes after growth"] += 1
+    assert min(counts.values()) > 0, counts
 
 
 def test_sc_cap_bounds_the_elements_enumerated(std4):

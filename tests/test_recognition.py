@@ -27,7 +27,9 @@ from braidqp import (
     summit_length_filter,
     verify_witness,
 )
+from braidqp.recognition import _ladder_b_factors
 from conftest import (
+    _ladder,
     conjugacy_branch_reference,
     is_suffix,
     random_nf,
@@ -221,6 +223,28 @@ def test_verify_witness_checks_the_ladder(which, request):
         )
         w = replace(w, element=rebuild_witness(w))
         assert not verify_witness(w.element, w)
+
+
+@pytest.mark.parametrize("make", [artin_structure, dual_structure])
+def test_closed_form_ladder_matches_multiplication(make):
+    # B_i = complement(tau^{i-1}(A_i)) passes the ladder A_i g^{i-1} B_i = g^i
+    # checked by multiplying normal forms; one B changed fails it, and
+    # verify_witness agrees with the multiplication on both
+    rng = random.Random(35)
+    for n in range(3, 7):
+        st = make(n)
+        for _ in range(30):
+            a_factors = tuple(rng.choice(st.all_simples) for _ in range(rng.randrange(1, 5)))
+            b_factors = _ladder_b_factors(st, a_factors)
+            assert _ladder(st, a_factors, b_factors)
+            i = rng.randrange(len(b_factors))
+            other = rng.choice([s for s in st.all_simples if s != b_factors[i]])
+            perturbed = b_factors[:i] + (other,) + b_factors[i + 1 :]
+            assert not _ladder(st, a_factors, perturbed)
+            for bs in (b_factors, perturbed):
+                w = FormWitness(st.nf(0), st.nf(0), "input", len(bs), 1, st.atoms[0], a_factors, bs)
+                w = replace(w, element=rebuild_witness(w))
+                assert verify_witness(w.element, w) == _ladder(st, a_factors, bs)
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,9 @@ Each tree's ``src/braidqp`` is imported under its own package name, and the
 parent tree a second time as a control.  One workload's rounds from
 ``bench/workloads.py`` run on all three: every operation runs once on each
 tree, in an order that cycles through all six from one operation to the
-next, and is timed on its own and checked with the clock stopped.  The
+next, and is timed on its own and checked with the clock stopped.  With the
+clock stopped too, each result is normalised and compared with the parent's,
+so a change meant to keep every answer shows any one it does not keep.  The
 number of rounds is the benchmark's at its default run length.  Runs on one
 machine drift by more than most changes move, but the three trees here
 share every moment of it, so the control / parent ratio is the noise floor
@@ -16,12 +18,16 @@ One JSON line is printed: the total op time of each tree; the change /
 parent and control / parent ratios of it, in total and per label (the
 operation label up to its first dot); the failed operations of each tree;
 and the calls and misses of the ``local_sliding`` and ``tau`` memos, which
-repeat exactly from run to run.
+repeat exactly from run to run; and, per tree, ``outputs_differ``: the
+operations whose normalised result differs from the parent's, with the
+first few of their labels.  The control must read 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import gc
 import importlib
 import importlib.util
@@ -39,6 +45,31 @@ from workloads import KINDS, WORKLOADS, rounds_for, structure  # noqa: E402
 TREES = ("parent", "control", "change")
 ORDERS = tuple(itertools.permutations(TREES))  # each tree in each place and after each other
 COUNTED = ("local_sliding", "tau")
+SHOWN_LABELS = 5  # differing labels printed per tree
+
+
+def normalise(value):
+    """A result in a form that does not depend on the tree that made it.
+
+    A NormalForm becomes (p, factors), a dataclass its fields, an enum its
+    value and a raised exception (type name, message); containers are
+    normalised item by item, keeping their order.
+    """
+    if isinstance(value, BaseException):
+        return type(value).__name__, str(value)
+    if isinstance(value, enum.Enum):
+        return value.value
+    if type(value).__name__ == "NormalForm":
+        return value.p, value.factors
+    if dataclasses.is_dataclass(value):
+        return tuple(normalise(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, dict):
+        return tuple((normalise(k), normalise(v)) for k, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return tuple(normalise(v) for v in value)
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    raise TypeError(f"no normal form for a {type(value).__name__} result")
 
 
 def load(tree: Path, name: str):
@@ -64,6 +95,7 @@ def compare(parent: Path, change: Path, workload: str, seed: int) -> dict:
     rounds = rounds_for(wl, bench.DEFAULT_SECONDS)
     total = dict.fromkeys(TREES, 0.0)
     failed = dict.fromkeys(TREES, 0)
+    differ: dict[str, list[str]] = {t: [] for t in TREES[1:]}
     by_label: dict[str, dict[str, float]] = {}
     orders = itertools.cycle(ORDERS)
     for index in range(rounds):
@@ -71,17 +103,22 @@ def compare(parent: Path, change: Path, workload: str, seed: int) -> dict:
         gc.collect()
         for k, first in enumerate(ops["parent"]):
             spent = by_label.setdefault(first.label.split(".")[0], dict.fromkeys(TREES, 0.0))
+            outputs = {}
             for tree in next(orders):
                 op = ops[tree][k]
                 ok, result, dt = bench.timed_call(op, None)
                 total[tree] += dt
                 spent[tree] += dt
+                outputs[tree] = normalise(result)
                 if ok:
                     try:
                         op.check(result)
                     except Exception:  # CheckFailed, or output of the wrong shape
                         ok = False
                 failed[tree] += not ok
+            for tree, labels in differ.items():
+                if outputs[tree] != outputs["parent"]:
+                    labels.append(first.label)
     # every structure an op could have built; one it never built comes back with empty memos
     strands = range(2, max(n for _, n in wl.structures) + 1)
     counts = {}
@@ -103,6 +140,8 @@ def compare(parent: Path, change: Path, workload: str, seed: int) -> dict:
         "ratio": ratios(total),
         "by_label": {label: ratios(v) for label, v in sorted(by_label.items())},
         "failed": failed,
+        "outputs_differ": {t: len(labels) for t, labels in differ.items()},
+        "differ_labels": {t: labels[:SHOWN_LABELS] for t, labels in differ.items()},
         "counts": counts,
     }
 
