@@ -19,6 +19,22 @@ def inversion_count(s: Simple) -> int:
     return sum(1 for i in range(len(s)) for j in range(i + 1, len(s)) if s[i] > s[j])
 
 
+def _peel_common_descents(p: list[int], q: list[int]) -> bool:
+    """Peel the meet of two permutation braids off both, in place (see
+    ``ArtinStructure.meet``); whether anything was peeled."""
+    j, last, swapped = 0, len(p) - 1, False
+    while j < last:
+        if p[j] > p[j + 1] and q[j] > q[j + 1]:
+            p[j], p[j + 1] = p[j + 1], p[j]
+            q[j], q[j + 1] = q[j + 1], q[j]
+            swapped = True
+            if j:
+                j -= 1
+        else:
+            j += 1
+    return swapped
+
+
 class ArtinStructure(GarsideStructure):
     def __init__(self, n: int) -> None:
         super().__init__(StructureId(n, StructureKind.STANDARD))
@@ -57,15 +73,22 @@ class ArtinStructure(GarsideStructure):
         the meet is a a'^{-1}.
         """
         p, q = list(a), list(b)
-        j, last = 0, len(p) - 1
-        while j < last:
-            if p[j] > p[j + 1] and q[j] > q[j + 1]:
-                p[j], p[j + 1] = p[j + 1], p[j]
-                q[j], q[j + 1] = q[j + 1], q[j]
-                j = max(j - 1, 0)
-            else:
-                j += 1
+        _peel_common_descents(p, q)
         return mult(a, inverse_perm(p))
+
+    def local_sliding(self, u: Simple, v: Simple) -> tuple[Simple, Simple]:
+        """Shift the largest slice s of v that still fits after u to the left.
+
+        s is the meet of v and complement(u), and peeling it off both leaves
+        s^{-1} v and s^{-1} complement(u) = complement(u s), so u s is the
+        left complement Delta q^{-1} of the second, q; Delta reverses the
+        positions, so that is q^{-1} read backwards.  A slide that peels
+        nothing returns (u, v) as they are.
+        """
+        p, q = list(v), list(self.complement(u))
+        if not _peel_common_descents(p, q):
+            return u, v
+        return inverse_perm(q)[::-1], tuple(p)
 
     def join(self, a: Simple, b: Simple) -> Simple:
         # s lies above a iff complement(s) divides complement(a) on the right,

@@ -58,7 +58,8 @@ def initial_factor(x: NormalForm) -> Simple:
     Raises ValueError on a pure Garside power, which has no factors.
     """
     _require_positive_length(x)
-    return x.structure.tau(x.factors[0], -x.p)
+    st = x.structure
+    return st.tau(x.factors[0], -x.p % st.delta_order)
 
 
 def final_factor(x: NormalForm) -> Simple:

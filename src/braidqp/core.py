@@ -24,7 +24,7 @@ Simple = tuple[int, ...]
 
 def mult(u: Simple, v: Simple) -> Simple:
     """Permutation composition, ``u`` applied first."""
-    return tuple(v[x] for x in u)
+    return tuple([v[x] for x in u])  # a list builds faster than a generator
 
 
 def inverse_perm(u: Simple) -> Simple:
@@ -40,8 +40,13 @@ class GarsideStructure(ABC):
     Concrete subclasses supply the atom list, the Garside element, the letter
     length of simples, the membership test for simple payloads and closed
     forms of ``meet`` and ``join``; everything else (divisibility, complements,
-    normal forms) is derived here.  All operations are pure, so instances are
-    safe to share between threads.
+    normal forms) is derived here.  A subclass may also supply its own
+    ``local_sliding`` when its meet already yields the slid pair.  All
+    operations are pure, so instances are safe to share between threads.
+
+    ``delta_order`` is the order of the permutation of the Garside element
+    (2 in the standard structure, n in the dual one); callers reduce ``tau``
+    exponents modulo it, so that one twist is one memo key.
 
     Six primitives keep an unbounded memo per instance, made in ``__init__``,
     because the same simples come back again and again: ``local_sliding``,
@@ -63,6 +68,7 @@ class GarsideStructure(ABC):
         while (d := mult(powers[-1], self.delta)) != self.identity:
             powers.append(d)
         self._delta_powers: tuple[Simple, ...] = tuple(powers)
+        self.delta_order: int = len(powers)
         for name in ("local_sliding", "tau", "complement", "is_prefix", "norm", "spell_simple"):
             setattr(self, name, functools.cache(getattr(self, name)))
 
@@ -136,7 +142,7 @@ class GarsideStructure(ABC):
 
     def delta_power(self, k: int) -> Simple:
         """delta^k, with k reduced modulo the order of the permutation delta."""
-        return self._delta_powers[k % len(self._delta_powers)]
+        return self._delta_powers[k % self.delta_order]
 
     def tau(self, a: Simple, k: int = 1) -> Simple:
         """Conjugation of a simple by the k-th power of the Garside element."""
@@ -168,12 +174,13 @@ class GarsideStructure(ABC):
         """x times the k-th Garside power."""
         if k == 0:
             return x
-        t = k % len(self._delta_powers)  # one tau memo key per twist, whatever k
+        t = k % self.delta_order
         return self.nf(x.p + k, tuple(self.tau(f, t) for f in x.factors))
 
     def nf_tau(self, x: NormalForm, k: int = 1) -> NormalForm:
         """Conjugate by the k-th Garside power; p and length are unchanged."""
-        return self.nf(x.p, tuple(self.tau(f, k) for f in x.factors))
+        t = k % self.delta_order
+        return self.nf(x.p, tuple(self.tau(f, t) for f in x.factors))
 
     def nf_right_multiply(self, x: NormalForm, a: Simple) -> NormalForm:
         """Normal form of x*a in one right-to-left sliding pass, which stops at
@@ -206,7 +213,7 @@ class GarsideStructure(ABC):
     def nf_left_multiply(self, a: Simple, x: NormalForm) -> NormalForm:
         """Normal form of a*x in one left-to-right sliding pass, which stops once
         the carry passes a factor unchanged or is used up."""
-        carry = self.tau(a, x.p)
+        carry = self.tau(a, x.p % self.delta_order)
         if carry == self.identity:
             return x
         if carry == self.delta:
@@ -249,7 +256,7 @@ class GarsideStructure(ABC):
         complement(f_i)) = 1, that is, iff (f_i, f_{i+1}) is (Epstein et
         al., Word Processing in Groups, ch. 9).
         """
-        r, order = len(x.factors), len(self._delta_powers)
+        r, order = len(x.factors), self.delta_order
         factors = (
             self.tau(self.complement(x.factors[i - 1]), (-x.p - i) % order) for i in range(r, 0, -1)
         )
@@ -269,21 +276,43 @@ class GarsideStructure(ABC):
         the twisted complement, lower the Garside power by one, then multiply
         on the right by s.
         """
-        y = self.nf_left_multiply(self.tau(self.complement(s), -1), x)
+        y = self.nf_left_multiply(self.tau(self.complement(s), -1 % self.delta_order), x)
         return self.nf_right_multiply(self.nf(y.p - 1, y.factors), s)
 
     def nf_from_word(self, word: BraidWord) -> NormalForm:
         if word.structure != self.ident:
             raise ValueError("word is over a different structure")
         # The word so far is y Delta^{-m}: with Delta^{-m} b = tau^m(b) Delta^{-m}
-        # and a^{-1} = complement(a) Delta^{-1}, each letter multiplies y on
-        # the right by one twisted simple, and Delta^{-m} is applied once.
+        # and c^{-1} = complement(c) Delta^{-1}, each run of the word multiplies
+        # y on the right by one twisted simple, and Delta^{-m} is applied once.
         y, m = self.nf(word.g), 0
-        for index, sign in word.letters:
-            a = self.atoms[index] if sign > 0 else self.complement(self.atoms[index])
-            y = self.nf_right_multiply(y, self.tau(a, m % len(self._delta_powers)))
+        for sign, block in self._simple_runs(word.letters):
+            s = block if sign > 0 else self.complement(block)
+            y = self.nf_right_multiply(y, self.tau(s, m % self.delta_order))
             m += sign < 0
         return self.nf_mult_delta(y, -m)
+
+    def _simple_runs(self, letters: Iterable[tuple[int, int]]) -> list[tuple[int, Simple]]:
+        """The letters cut into maximal same-sign runs whose product is simple.
+
+        A positive run a_1 ... a_k is the simple a_1 ... a_k; it grows by a
+        while a divides the complement of the run so far.  A negative run
+        a_1^{-1} ... a_k^{-1} is (a_k ... a_1)^{-1}, so it is kept as the
+        simple a_k ... a_1, which grows by a while it divides complement(a).
+        """
+        runs: list[tuple[int, Simple]] = []
+        for index, sign in letters:
+            a = self.atoms[index]
+            if runs and runs[-1][0] == sign:
+                block = runs[-1][1]
+                if sign > 0 and self.atom_prefix(index, self.complement(block)):
+                    runs[-1] = (sign, mult(block, a))
+                    continue
+                if sign < 0 and self.is_prefix(block, self.complement(a)):
+                    runs[-1] = (sign, mult(a, block))
+                    continue
+            runs.append((sign, a))
+        return runs
 
     def nf_to_word(self, x: NormalForm) -> BraidWord:
         """A word (Garside power followed by atoms) spelling x."""

@@ -149,7 +149,7 @@ def _constant_atom_run(st: GarsideStructure, factors: tuple[Simple, ...]) -> Sim
 def _ladder_b_factors(st: GarsideStructure, a_factors: tuple[Simple, ...]) -> tuple[Simple, ...]:
     """The B_i with A_i g^{i-1} B_i = g^i for every i: since A_i g^{i-1} is
     g^{i-1} tau^{i-1}(A_i), B_i is the complement of tau^{i-1}(A_i)."""
-    return tuple(st.complement(st.tau(a, i)) for i, a in enumerate(a_factors))
+    return tuple(st.complement(st.tau(a, i % st.delta_order)) for i, a in enumerate(a_factors))
 
 
 def _match_shape(xt: NormalForm, k: int, l: int) -> FormWitness | None:
@@ -317,7 +317,8 @@ def _standard_witness(st: GarsideStructure, w: FormWitness, c: NormalForm) -> Fo
     q_nf = st.nf_multiply(q_nf, root_y)
     b_factors = (st.delta,) * (q_nf.p % 2) + q_nf.factors
     a_factors = tuple(
-        st.tau(st.complement_inv(b), 1 - i) for i, b in enumerate(b_factors, start=1)
+        st.tau(st.complement_inv(b), (1 - i) % st.delta_order)
+        for i, b in enumerate(b_factors, start=1)
     )
     conj = st.nf_multiply(st.nf_multiply(c, standard(w.conjugator)), root_y)
     out = FormWitness(

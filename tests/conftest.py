@@ -209,6 +209,14 @@ def scan_join(st: GarsideStructure, a: Simple, b: Simple) -> Simple:
 # every factor, and inversion and word reading twist the whole partial result
 
 
+def local_sliding_reference(st: GarsideStructure, u: Simple, v: Simple) -> tuple[Simple, Simple]:
+    """(u s, s^{-1} v) for s the meet of v and complement(u): the generic slide."""
+    s = st.meet(v, st.complement(u))
+    if s == st.identity:
+        return u, v
+    return mult(u, s), st.left_quotient(s, v)
+
+
 def right_multiply_reference(st: GarsideStructure, x: NormalForm, a: Simple) -> NormalForm:
     """x*a by a right-to-left sliding pass over every factor of x."""
     if a == st.identity:
@@ -218,7 +226,7 @@ def right_multiply_reference(st: GarsideStructure, x: NormalForm, a: Simple) -> 
     carry = a
     finals: list[Simple] = []
     for f in reversed(x.factors):
-        carry, out = st.local_sliding(f, carry)
+        carry, out = local_sliding_reference(st, f, carry)
         finals.append(out)
     factors = [carry] + finals[::-1]
     p = x.p
@@ -239,7 +247,7 @@ def left_multiply_reference(st: GarsideStructure, a: Simple, x: NormalForm) -> N
         return st.nf(x.p + 1, x.factors)
     out: list[Simple] = []
     for f in x.factors:
-        done, carry = st.local_sliding(carry, f)
+        done, carry = local_sliding_reference(st, carry, f)
         out.append(done)
     out.append(carry)
     p = x.p

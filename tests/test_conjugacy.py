@@ -29,6 +29,8 @@ from braidqp import (
     recognize,
     slide_to_circuit,
     sliding_circuits,
+    to_dual,
+    to_standard,
     verify_witness,
 )
 from braidqp.conjugacy import DEFAULT_MAX_ORBIT, DEFAULT_MAX_SC, conjugate_to_first
@@ -42,6 +44,8 @@ from conftest import (
     random_word,
     sliding_circuits_reference,
     sliding_transport,
+    word_inverse,
+    word_product,
 )
 
 
@@ -356,6 +360,38 @@ def test_are_conjugate(std3):
         # the conjugator read off the whole set of x, as without short cuts
         ry, wy = slide_to_circuit(y)
         assert c == st.nf_multiply(sliding_circuits(x).elements[ry], st.nf_inverse(wy))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_are_conjugate_agrees_across_structures(n):
+    # the same pairs of braids in both structures: a standard word w against
+    # c^-1 w c, with one letter of every second pair changed, and the dual
+    # side read from to_dual of the same words
+    std, du = artin_structure(n), dual_structure(n)
+    translate = {std: to_dual, du: to_standard}
+    rng = random.Random(911 + n)
+    verdicts = []
+    for k in range(60):
+        w, c = random_word(rng, std, 14), random_word(rng, std, 6)
+        v = word_product(word_product(word_inverse(c), w), c)
+        if k % 2:
+            letters = list(v.letters)
+            i = rng.randrange(len(letters))
+            letters[i] = (rng.randrange(n - 1), letters[i][1])
+            v = BraidWord(std.ident, v.g, tuple(letters))
+        pairs = {std: (w, v), du: (to_dual(w), to_dual(v))}
+        answers = {st: are_conjugate(*map(st.nf_from_word, pair)) for st, pair in pairs.items()}
+        assert answers[std][0] == answers[du][0]
+        verdicts.append(answers[std][0])
+        # each conjugator checks in its own structure and, translated, in the other
+        for st, other in ((std, du), (du, std)):
+            ok, conj = answers[st]
+            if ok:
+                moved = other.nf_from_word(translate[st](st.nf_to_word(conj)))
+                for s, z in ((st, conj), (other, moved)):
+                    x, y = map(s.nf_from_word, pairs[s])
+                    assert s.nf_conjugate(x, z) == y
+    assert True in verdicts and False in verdicts
 
 
 @pytest.mark.parametrize("make", [artin_structure, dual_structure])

@@ -23,6 +23,7 @@ from conftest import (
     is_left_weighted,
     is_suffix,
     left_multiply_reference,
+    local_sliding_reference,
     nf_from_word_reference,
     nf_validate,
     random_nf,
@@ -362,6 +363,64 @@ def test_spell_simple_spells_its_input(which, request):
         for i in word:
             acc = mult(acc, st.atoms[i])
         assert acc == s
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [(artin_structure, n) for n in (3, 4, 5)] + [(dual_structure, n) for n in (3, 4, 5, 6)],
+    ids=[f"std{n}" for n in (3, 4, 5)] + [f"dual{n}" for n in (3, 4, 5, 6)],
+)
+def test_local_sliding_matches_reference_on_every_pair(make, n):
+    # the standard slide is read off the meet's bubble sort, not built from
+    # the meet, a product and a quotient as the reference does
+    st = make(n)
+    for u in st.all_simples:
+        for v in st.all_simples:
+            assert st.local_sliding(u, v) == local_sliding_reference(st, u, v), (u, v)
+
+
+def _run_pieces(rng, st):
+    """Same-sign runs for word reading: Delta and Delta^-1 spelled in atoms,
+    a doubled atom of either sign (the run stops being simple at the second
+    letter), a random atom spelling of a simple (band runs in the dual
+    structure) read forwards or backwards with either sign, and random
+    one-sign runs."""
+    delta = st.spell_simple(st.delta)
+    atom = rng.randrange(len(st.atoms))
+    spelled, s = [], st.identity
+    for _ in range(rng.randint(1, st.norm(st.delta))):
+        fits = [i for i in range(len(st.atoms)) if st.atom_prefix(i, st.complement(s))]
+        spelled.append(rng.choice(fits))
+        s = mult(s, st.atoms[spelled[-1]])
+    if rng.random() < 0.5:
+        spelled.reverse()
+    sign = rng.choice((1, -1))
+    length = rng.randrange(1, 2 * st.ident.strands)
+    return [
+        [(i, 1) for i in delta],
+        [(i, -1) for i in reversed(delta)],
+        [(atom, 1), (atom, 1)],
+        [(atom, -1), (atom, -1)],
+        [(i, sign) for i in spelled],
+        [(rng.randrange(len(st.atoms)), sign) for _ in range(length)],
+    ]
+
+
+@pytest.mark.parametrize("make", [artin_structure, dual_structure], ids=["std", "dual"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_word_reading_by_runs_matches_reference(make, n):
+    # the library reads one twisted simple per same-sign run that stays
+    # simple; the reference reads one letter at a time
+    st = make(n)
+    rng = random.Random(811 + n)
+    for _ in range(25):
+        letters = []
+        for _ in range(rng.randint(1, 4)):
+            letters += rng.choice(_run_pieces(rng, st))
+        word = BraidWord(st.ident, rng.randint(-3, 3), tuple(letters))
+        x = st.nf_from_word(word)
+        assert x == nf_from_word_reference(st, word), word
+        nf_validate(st, x)
 
 
 def test_local_sliding_preserves_product_and_weights(std4, dual4):

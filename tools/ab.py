@@ -17,10 +17,10 @@ and a change / parent ratio inside it is no change.
 One JSON line is printed: the total op time of each tree; the change /
 parent and control / parent ratios of it, in total and per label (the
 operation label up to its first dot); the failed operations of each tree;
-and the calls and misses of the ``local_sliding`` and ``tau`` memos, which
-repeat exactly from run to run; and, per tree, ``outputs_differ``: the
-operations whose normalised result differs from the parent's, with the
-first few of their labels.  The control must read 0.
+the calls, misses and entries of the ``local_sliding``, ``tau`` and
+``complement`` memos, which repeat exactly from run to run; and, per tree,
+``outputs_differ``: the operations whose normalised result differs from the
+parent's, with the first few of their labels.  The control must read 0.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from workloads import KINDS, WORKLOADS, rounds_for, structure  # noqa: E402
 
 TREES = ("parent", "control", "change")
 ORDERS = tuple(itertools.permutations(TREES))  # each tree in each place and after each other
-COUNTED = ("local_sliding", "tau")
+COUNTED = ("local_sliding", "tau", "complement")
 SHOWN_LABELS = 5  # differing labels printed per tree
 
 
@@ -124,10 +124,10 @@ def compare(parent: Path, change: Path, workload: str, seed: int) -> dict:
     counts = {}
     for tree, B in programs.items():
         snapshot = cache_snapshot([structure(B, kind, n) for kind in KINDS for n in strands])
-        counts[tree] = {
-            name: {"calls": snapshot[name][0] + snapshot[name][1], "misses": snapshot[name][1]}
-            for name in COUNTED
-        }
+        counts[tree] = {}
+        for name in COUNTED:
+            hits, misses, entries = snapshot[name]
+            counts[tree][name] = {"calls": hits + misses, "misses": misses, "entries": entries}
 
     def ratios(times: dict[str, float]) -> dict[str, float]:
         return {t: round(times[t] / times["parent"], 4) for t in ("change", "control")}
