@@ -55,9 +55,6 @@ class ArtinStructure(GarsideStructure):
     def norm(self, s: Simple) -> int:
         return inversion_count(s)
 
-    def is_simple_payload(self, s: Simple) -> bool:
-        return True  # every permutation is a permutation braid
-
     def atom_prefix(self, atom: int, s: Simple) -> bool:
         # Descent criterion, verified against brute-force divisor enumeration.
         return s[atom] > s[atom + 1]
@@ -92,11 +89,11 @@ class ArtinStructure(GarsideStructure):
 
     def join(self, a: Simple, b: Simple) -> Simple:
         # s lies above a iff complement(s) divides complement(a) on the right,
-        # so the join is the left complement of the right meet of the
-        # complements.  Reversing words inverts permutation braids and turns
-        # that right meet into a meet.
+        # so the join is the left complement tau^{-1}(complement(m)) of the
+        # right meet m of the complements.  Reversing words inverts
+        # permutation braids and turns that right meet into a meet.
         m = self.meet(inverse_perm(self.complement(a)), inverse_perm(self.complement(b)))
-        return self.complement_inv(inverse_perm(m))
+        return self.tau(self.complement(inverse_perm(m)), -1 % self.delta_order)
 
 
 @functools.cache

@@ -53,24 +53,6 @@ from .words import (
 MAX_STRANDS = 64
 
 
-class _Report:
-    """Collects output fields; renders as text lines or one JSON object."""
-
-    def __init__(self, as_json: bool) -> None:
-        self.as_json = as_json
-        self.fields: dict[str, Any] = {}
-
-    def add(self, key: str, value: Any) -> None:
-        self.fields[key] = value
-
-    def emit(self) -> None:
-        if self.as_json:
-            print(json.dumps(self.fields, indent=2))
-        else:
-            for key, value in self.fields.items():
-                print(f"{key}: {value}")
-
-
 def _element(args: argparse.Namespace, text: str) -> NormalForm:
     """The normal form of a word over the structure that -n and --structure name."""
     if args.strands > MAX_STRANDS:
@@ -98,64 +80,64 @@ def _cycling_orbit_sizes(elements: dict[NormalForm, NormalForm], max_orbit: int)
     return sorted(sizes, reverse=True)
 
 
-def _cmd_nf(args: argparse.Namespace, report: _Report) -> int:
+def _cmd_nf(args: argparse.Namespace) -> dict[str, Any]:
     x = _element(args, args.word)
     st = x.structure
-    report.add("p", x.p)
-    report.add("factors", _simple_texts(st, x.factors))
-    report.add("inf", x.inf)
-    report.add("canonical_length", x.canonical_length)
-    report.add("sup", x.sup)
-    report.add("word", _nf_text(st, x))
-    return 0
+    return {
+        "p": x.p,
+        "factors": _simple_texts(st, x.factors),
+        "inf": x.inf,
+        "canonical_length": x.canonical_length,
+        "sup": x.sup,
+        "word": _nf_text(st, x),
+    }
 
 
-def _cmd_invariants(args: argparse.Namespace, report: _Report) -> int:
+def _cmd_invariants(args: argparse.Namespace) -> dict[str, Any]:
     x = _element(args, args.word)
     xt, _ = slide_to_circuit(x, args.max_orbit)
-    report.add("inf_s", xt.inf)
-    report.add("ell_s", xt.canonical_length)
-    report.add("sup_s", xt.sup)
-    return 0
+    return {"inf_s": xt.inf, "ell_s": xt.canonical_length, "sup_s": xt.sup}
 
 
-def _cmd_sc(args: argparse.Namespace, report: _Report) -> int:
+def _cmd_sc(args: argparse.Namespace) -> dict[str, Any]:
     x = _element(args, args.word)
     sc = sliding_circuits(x, args.max_sc, args.max_orbit)
-    report.add("sc_size", len(sc))
-    report.add("arrows", len(sc.arrows))
-    report.add("orbit_sizes", _cycling_orbit_sizes(sc.elements, args.max_orbit))
     rep = next(iter(sc.elements))
-    report.add("inf_s", rep.inf)
-    report.add("ell_s", rep.canonical_length)
-    report.add("sup_s", rep.sup)
-    return 0
+    return {
+        "sc_size": len(sc),
+        "arrows": len(sc.arrows),
+        "orbit_sizes": _cycling_orbit_sizes(sc.elements, args.max_orbit),
+        "inf_s": rep.inf,
+        "ell_s": rep.canonical_length,
+        "sup_s": rep.sup,
+    }
 
 
-def _cmd_orbit(args: argparse.Namespace, report: _Report) -> int:
+def _cmd_orbit(args: argparse.Namespace) -> dict[str, Any]:
     x = _element(args, args.word)
     xt, _ = slide_to_circuit(x, args.max_orbit)
-    report.add("cycling_orbit", len(cycling_orbit(xt, args.max_orbit)))
-    report.add("decycling_orbit", len(decycling_orbit(xt, args.max_orbit)))
-    return 0
+    return {
+        "cycling_orbit": len(cycling_orbit(xt, args.max_orbit)),
+        "decycling_orbit": len(decycling_orbit(xt, args.max_orbit)),
+    }
 
 
-def _cmd_conjugate(args: argparse.Namespace, report: _Report) -> int:
+def _cmd_conjugate(args: argparse.Namespace) -> dict[str, Any]:
     x = _element(args, args.word)
     y = _element(args, args.other)
     ok, conj = are_conjugate(x, y, args.max_sc, args.max_orbit)
-    report.add("verdict", ok)
+    out: dict[str, Any] = {"verdict": ok}
     if conj is not None:
-        report.add("conjugator", _nf_text(x.structure, conj))
-    return 0
+        out["conjugator"] = _nf_text(x.structure, conj)
+    return out
 
 
-def _cmd_recognize(args: argparse.Namespace, report: _Report) -> int:
+def _cmd_recognize(args: argparse.Namespace) -> dict[str, Any]:
     x = _element(args, args.word)
     st = x.structure
     q = RecognitionQuery(st.ident, 0, args.k, None if args.l is None else 0, args.l)
     result = recognize(x, q, args.max_sc, args.max_orbit)
-    report.add("verdict", result.verdict)
+    out: dict[str, Any] = {"verdict": result.verdict}
     if result.witness is not None:
         w = result.witness
         witness: dict[str, Any] = {
@@ -169,19 +151,15 @@ def _cmd_recognize(args: argparse.Namespace, report: _Report) -> int:
         }
         if w.y1 is not None:
             witness["y1"] = st.ident.atom_name(st.atom_index[w.y1])
-        report.add("witness", witness)
+        out["witness"] = witness
         if args.verify:
-            report.add("witness_verified", verify_witness(x, w))
-    return 0
+            out["witness_verified"] = verify_witness(x, w)
+    return out
 
 
-def _cmd_qp3(args: argparse.Namespace, report: _Report) -> int:
+def _cmd_qp3(args: argparse.Namespace) -> dict[str, Any]:
     pa = to_pa_form(parse_word(args.word, StructureId(3, StructureKind.STANDARD)))
-    report.add("verdict", qp3(pa))
-    report.add("p", pa.p)
-    report.add("a", list(pa.a))
-    report.add("e", pa.e)
-    return 0
+    return {"verdict": qp3(pa), "p": pa.p, "a": list(pa.a), "e": pa.e}
 
 
 @functools.cache
@@ -234,18 +212,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    report = _Report(args.json)
     try:
         # looked up at call time, so a replaced _cmd_<name> takes effect
-        code = globals()[f"_cmd_{args.command}"](args, report)
+        fields = globals()[f"_cmd_{args.command}"](args)
     except (WordSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ResourceCapExceeded, RecursionError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
-    report.emit()
-    return code
+    if args.json:
+        print(json.dumps(fields, indent=2))
+    else:
+        for key, value in fields.items():
+            print(f"{key}: {value}")
+    return 0
 
 
 if __name__ == "__main__":

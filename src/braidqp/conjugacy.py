@@ -11,9 +11,9 @@ keeps a witness so membership answers come with an explicit conjugator.
 Each arrow of the enumeration is a minimal simple conjugator above an atom.
 The simples above an atom that keep an element inside the sliding-circuits set
 are closed under meets (Gebhardt and Gonzalez-Meneses, "The cyclic sliding
-operation in Garside groups", Math. Z. 2010), and every arrow is black or grey:
-its conjugator divides the initial factor or the complement of the final
-factor.  So each atom's least working simple is searched for level by level
+operation in Garside groups", Math. Z. 2010), and every arrow's conjugator
+divides the initial factor or the complement of the final factor of its
+source.  So each atom's least working simple is searched for level by level
 among the prefixes of those two simples only, never among all simples;
 candidates whose conjugate leaves the summit inf and sup are skipped before
 any sliding.
@@ -211,11 +211,11 @@ def _least_working(
     None if there is none.  The search climbs from the atom a one norm level
     at a time, through prefixes of top only.  The working simples above a are
     closed under meets, and so are the prefixes of top, so the first level
-    that holds a working simple holds exactly one, the least.  Every arrow is
-    black or grey: its conjugator divides the initial factor of y or the
-    complement of its final factor (Gebhardt and Gonzalez-Meneses, "Solving
-    the conjugacy problem in Garside groups by cyclic sliding", J. Symb.
-    Comput. 45, 2010), so searching below those two finds every arrow.
+    that holds a working simple holds exactly one, the least.  Every arrow's
+    conjugator divides the initial factor of y or the complement of its final
+    factor (Gebhardt and Gonzalez-Meneses, "Solving the conjugacy problem in
+    Garside groups by cyclic sliding", J. Symb. Comput. 45, 2010), so
+    searching below those two finds every arrow.
     ``memo`` is handed to every in_sliding_circuit test.
     """
     st = y.structure
@@ -241,8 +241,6 @@ class Arrow:
     source: NormalForm
     conjugator: Simple
     target: NormalForm
-    black: bool  # conjugator divides the initial factor of the source
-    grey: bool  # conjugator divides the complement of the final factor
 
 
 @dataclass
@@ -308,8 +306,7 @@ def _grow_sliding_circuits(
             if any(d != c and st.is_prefix(d, c) for d in candidates):
                 continue
             z = conjugate[c]
-            black, grey = st.is_prefix(c, tops[0]), st.is_prefix(c, tops[-1])
-            sc.arrows.append(Arrow(y, c, z, black, grey))
+            sc.arrows.append(Arrow(y, c, z))
             if z not in sc.elements:
                 sc.elements[z] = st.nf_right_multiply(wy, c)
                 frontier.append(z)

@@ -37,10 +37,12 @@ def inverse_perm(u: Simple) -> Simple:
 class GarsideStructure(ABC):
     """A finite-type Garside structure on Br_n.
 
-    Concrete subclasses supply the atom list, the Garside element, the letter
-    length of simples, the membership test for simple payloads and closed
-    forms of ``meet`` and ``join``; everything else (divisibility, complements,
-    normal forms) is derived here.  A subclass may also supply its own
+    Concrete subclasses supply the atoms, the Garside element Delta, the
+    letter length ``norm`` of simples, the atom test ``atom_prefix`` and
+    closed forms of ``meet`` and ``join``; everything else (divisibility,
+    complements, normal forms) is derived here.  The simples are what the
+    lattice makes of these: the divisors of Delta, so ``all_simples`` needs
+    no membership test of its own.  A subclass may also supply its own
     ``local_sliding`` when its meet already yields the slid pair.  All
     operations are pure, so instances are safe to share between threads.
 
@@ -85,10 +87,6 @@ class GarsideStructure(ABC):
         """Letter length of a simple element."""
 
     @abstractmethod
-    def is_simple_payload(self, s: Simple) -> bool:
-        """Whether the permutation represents a simple element."""
-
-    @abstractmethod
     def atom_prefix(self, atom: int, s: Simple) -> bool:
         """Whether atom number ``atom`` is a prefix of ``s``."""
 
@@ -112,20 +110,17 @@ class GarsideStructure(ABC):
 
     @functools.cached_property
     def all_simples(self) -> tuple[Simple, ...]:
-        """Every simple element, found by closing the atoms under extension.
+        """Every simple element: the identity closed under s -> s a for the
+        atoms a that divide complement(s), so that s a still divides Delta.
 
         Only the tests and the benchmark's set-up build it, never the engine."""
         seen = {self.identity}
         frontier = [self.identity]
         while frontier:
             s = frontier.pop()
-            for atom in self.atoms:
-                t = mult(s, atom)
-                if (
-                    t not in seen
-                    and self.is_simple_payload(t)
-                    and self.norm(t) == self.norm(s) + 1
-                ):
+            rest = self.complement(s)
+            for i, atom in enumerate(self.atoms):
+                if self.atom_prefix(i, rest) and (t := mult(s, atom)) not in seen:
                     seen.add(t)
                     frontier.append(t)
         return tuple(sorted(seen, key=lambda s: (self.norm(s), s)))
@@ -135,10 +130,6 @@ class GarsideStructure(ABC):
     def complement(self, a: Simple) -> Simple:
         """The right complement: a * complement(a) equals the Garside element."""
         return mult(inverse_perm(a), self.delta)
-
-    def complement_inv(self, a: Simple) -> Simple:
-        """The left complement: complement_inv(a) * a equals the Garside element."""
-        return mult(self.delta, inverse_perm(a))
 
     def delta_power(self, k: int) -> Simple:
         """delta^k, with k reduced modulo the order of the permutation delta."""

@@ -12,7 +12,6 @@ two strands lie in the same block.
 
 from __future__ import annotations
 
-import bisect
 import functools
 
 from .core import GarsideStructure, Simple
@@ -37,22 +36,6 @@ def cycles_of(s: Simple) -> list[list[int]]:
     return out
 
 
-def is_noncrossing_ascending(s: Simple) -> bool:
-    """Whether each cycle ascends through its block and blocks do not cross."""
-    cycles = cycles_of(s)
-    for cycle in cycles:
-        if cycle != sorted(cycle):
-            return False
-    blocks = [c for c in cycles if len(c) > 1]
-    for i, b in enumerate(blocks):
-        for c in blocks[i + 1 :]:
-            # b and c interleave iff c meets two different gaps of b
-            gaps = {bisect.bisect_left(b, x) for x in c}
-            if len(gaps) > 1:
-                return False
-    return True
-
-
 class DualStructure(GarsideStructure):
     def __init__(self, n: int) -> None:
         ident = StructureId(n, StructureKind.DUAL)
@@ -75,9 +58,6 @@ class DualStructure(GarsideStructure):
 
     def norm(self, s: Simple) -> int:
         return len(s) - len(cycles_of(s))
-
-    def is_simple_payload(self, s: Simple) -> bool:
-        return is_noncrossing_ascending(s)
 
     def atom_prefix(self, atom: int, s: Simple) -> bool:
         t, u = self._bands[atom]
@@ -108,8 +88,9 @@ class DualStructure(GarsideStructure):
 
     def join(self, a: Simple, b: Simple) -> Simple:
         # Prefixes and suffixes of a simple coincide, so the right meet of the
-        # complements is their meet.
-        return self.complement_inv(self.meet(self.complement(a), self.complement(b)))
+        # complements is their meet, and the join is its left complement.
+        m = self.meet(self.complement(a), self.complement(b))
+        return self.tau(self.complement(m), -1 % self.delta_order)
 
     @staticmethod
     def _same_cycle(s: Simple, i: int, j: int) -> bool:

@@ -296,7 +296,8 @@ def _standard_witness(st: GarsideStructure, w: FormWitness, c: NormalForm) -> Fo
     Q^{-1} sigma_s^k Q sigma_s'^l for Q = R^{-1} P R'.  Delta^2 is central,
     so Q may drop an even Garside power and becomes positive: its simples,
     Delta first if its power is odd, are the new B_i, and the ladder
-    A_i Delta^{i-1} B_i = Delta^i fixes the new A_i.  ``c`` maps the
+    A_i Delta^{i-1} B_i = Delta^i fixes the new A_i = tau^{-i}(complement(B_i)),
+    as B_i^{-1} = complement(B_i) Delta^{-1}.  ``c`` maps the
     standard input onto the element that was translated.
     """
     du = w.element.structure
@@ -317,8 +318,7 @@ def _standard_witness(st: GarsideStructure, w: FormWitness, c: NormalForm) -> Fo
     q_nf = st.nf_multiply(q_nf, root_y)
     b_factors = (st.delta,) * (q_nf.p % 2) + q_nf.factors
     a_factors = tuple(
-        st.tau(st.complement_inv(b), (1 - i) % st.delta_order)
-        for i, b in enumerate(b_factors, start=1)
+        st.tau(st.complement(b), -i % st.delta_order) for i, b in enumerate(b_factors, start=1)
     )
     conj = st.nf_multiply(st.nf_multiply(c, standard(w.conjugator)), root_y)
     out = FormWitness(

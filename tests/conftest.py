@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import functools
 import random
 from dataclasses import replace
@@ -34,6 +35,7 @@ from braidqp import (
     sliding_circuits,
     summit_length_filter,
 )
+from braidqp.dual import cycles_of
 from braidqp.qp3 import is_reduced
 
 
@@ -81,13 +83,54 @@ def random_nf(
     return st.nf_from_word(random_word(rng, st, length, signed))
 
 
+# ----- simples by their payloads, independent of the lattice code
+
+
+def is_noncrossing_ascending(s: Simple) -> bool:
+    """Whether each cycle ascends through its block and blocks do not cross."""
+    cycles = cycles_of(s)
+    for cycle in cycles:
+        if cycle != sorted(cycle):
+            return False
+    blocks = [c for c in cycles if len(c) > 1]
+    for i, b in enumerate(blocks):
+        for c in blocks[i + 1 :]:
+            # b and c interleave iff c meets two different gaps of b
+            gaps = {bisect.bisect_left(b, x) for x in c}
+            if len(gaps) > 1:
+                return False
+    return True
+
+
+def is_simple_payload(st: GarsideStructure, s: Simple) -> bool:
+    """Whether the permutation represents a simple element: any permutation
+    braid in the standard structure, a non-crossing partition of ascending
+    cycles in the dual one."""
+    return st.ident.kind is StructureKind.STANDARD or is_noncrossing_ascending(s)
+
+
+def payload_closure(st: GarsideStructure) -> frozenset[Simple]:
+    """The simples re-derived by closing the identity under atom
+    multiplications that stay simple payloads and add one to the norm."""
+    seen = {st.identity}
+    frontier = [st.identity]
+    while frontier:
+        s = frontier.pop()
+        for a in st.atoms:
+            t = mult(s, a)
+            if t not in seen and is_simple_payload(st, t) and st.norm(t) == st.norm(s) + 1:
+                seen.add(t)
+                frontier.append(t)
+    return frozenset(seen)
+
+
 # ----- divisibility, atom sets and word algebra that only the tests use
 
 
 def is_suffix(st: GarsideStructure, a: Simple, b: Simple) -> bool:
     """a divides b on the right within the simple interval."""
     q = mult(b, inverse_perm(a))
-    return st.is_simple_payload(q) and st.norm(a) + st.norm(q) == st.norm(b)
+    return is_simple_payload(st, q) and st.norm(a) + st.norm(q) == st.norm(b)
 
 
 def right_quotient(st: GarsideStructure, b: Simple, a: Simple) -> Simple:
@@ -112,7 +155,11 @@ def right_complementary_set(st: GarsideStructure, a: Simple) -> frozenset[int]:
 
 
 def left_complementary_set(st: GarsideStructure, a: Simple) -> frozenset[int]:
-    return finishing_set(st, st.complement_inv(a))
+    """The finishing set of the left complement tau^{-1}(complement(a)),
+    which times a is Delta."""
+    left = st.tau(st.complement(a), -1)
+    assert mult(left, a) == st.delta
+    return finishing_set(st, left)
 
 
 def is_left_weighted(st: GarsideStructure, u: Simple, v: Simple) -> bool:
@@ -123,7 +170,7 @@ def nf_validate(st: GarsideStructure, x: NormalForm) -> None:
     """Assert the normal-form invariants."""
     for f in x.factors:
         assert f != st.identity and f != st.delta, "factor outside the open simple interval"
-        assert st.is_simple_payload(f), "factor payload is not simple"
+        assert is_simple_payload(st, f), "factor payload is not simple"
     for u, v in zip(x.factors, x.factors[1:]):
         assert is_left_weighted(st, u, v), "consecutive factors are not left weighted"
 
@@ -155,6 +202,18 @@ def sliding_transport(y: NormalForm, u: NormalForm) -> NormalForm:
     t = st.nf_inverse(st.nf_of_simple(preferred_prefix(y)))
     t = st.nf_multiply(t, u)
     return st.nf_right_multiply(t, preferred_prefix(yu))
+
+
+def is_black_or_grey(arrow: Arrow) -> bool:
+    """Whether the arrow's conjugator divides the initial factor of its
+    source (black) or the complement of the final factor (grey), recomputed
+    from the source.  Every simple divides Delta, so an arrow from a pure
+    Garside power is both."""
+    y, c = arrow.source, arrow.conjugator
+    if not y.factors:
+        return True
+    st = y.structure
+    return st.is_prefix(c, initial_factor(y)) or st.is_prefix(c, st.complement(final_factor(y)))
 
 
 def greedy_meet(st: GarsideStructure, a: Simple, b: Simple) -> Simple:
@@ -305,20 +364,7 @@ class DivisorOracle:
 
     def __init__(self, st: GarsideStructure) -> None:
         self.st = st
-        seen = {st.identity}
-        frontier = [st.identity]
-        while frontier:
-            s = frontier.pop()
-            for a in st.atoms:
-                t = mult(s, a)
-                if (
-                    t not in seen
-                    and st.is_simple_payload(t)
-                    and st.norm(t) == st.norm(s) + 1
-                ):
-                    seen.add(t)
-                    frontier.append(t)
-        self.simples = frozenset(seen)
+        self.simples = payload_closure(st)
         # left-divisor sets by reachability (right multiplication by atoms)
         self.left_divisors: dict[Simple, frozenset[Simple]] = {}
         for s in self.simples:
@@ -583,14 +629,11 @@ def sliding_circuits_reference(x: NormalForm, max_sc: int = 100_000) -> SlidingC
         minima = _min_sc_conjugators_reference(y)
         conjugate = dict(minima)
         candidates = sorted({s for s, _ in minima}, key=lambda s: (st.norm(s), s))
-        trivial = not y.factors
         for c in candidates:
             if any(d != c and st.is_prefix(d, c) for d in candidates):
                 continue
             z = conjugate[c]
-            black = trivial or st.is_prefix(c, initial_factor(y))
-            grey = trivial or st.is_prefix(c, st.complement(final_factor(y)))
-            sc.arrows.append(Arrow(y, c, z, black, grey))
+            sc.arrows.append(Arrow(y, c, z))
             if z not in sc.elements:
                 sc.elements[z] = st.nf_right_multiply(sc.elements[y], c)
                 frontier.append(z)

@@ -192,7 +192,7 @@ def test_strand_bound_exits_2(capsys):
 
 
 def test_recursion_error_exits_3(capsys, monkeypatch):
-    def overflow(args, report):
+    def overflow(args):
         raise RecursionError("maximum recursion depth exceeded")
 
     monkeypatch.setattr("braidqp.cli._cmd_nf", overflow)

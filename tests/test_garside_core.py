@@ -26,6 +26,7 @@ from conftest import (
     local_sliding_reference,
     nf_from_word_reference,
     nf_validate,
+    payload_closure,
     random_nf,
     random_word,
     right_multiply_reference,
@@ -46,6 +47,20 @@ def test_simple_enumeration_matches_oracle(which, request):
     oracle = request.getfixturevalue(f"oracle_{which}")
     assert set(st.all_simples) == set(oracle.simples)
     assert len(st.all_simples) == {"std4": 24, "dual5": 42}[which]
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [(artin_structure, n) for n in range(2, 7)] + [(dual_structure, n) for n in range(2, 9)],
+)
+def test_all_simples_is_the_lattice_closure(make, n):
+    # the library closes the identity under s -> s a for atoms a dividing
+    # complement(s); the reference closes it under atoms that keep a simple
+    # payload and add one to the norm, without the lattice code
+    st = make(n)
+    assert set(st.all_simples) == payload_closure(st)
+    keys = [(st.norm(s), s) for s in st.all_simples]
+    assert keys == sorted(set(keys))
 
 
 @pytest.mark.parametrize("which", ["std4", "dual5"])
@@ -167,7 +182,7 @@ def test_complement_bijective_and_squares_to_twist(which, request):
     assert images == set(simples)
     for s in simples:
         assert mult(s, st.complement(s)) == st.delta
-        assert mult(st.complement_inv(s), s) == st.delta
+        assert mult(st.tau(st.complement(s), -1), s) == st.delta  # the left complement
         assert st.complement(st.complement(s)) == st.tau(s, 1)
         assert st.tau(st.tau(s, 1), -1) == s
 
@@ -211,7 +226,8 @@ def test_passes_match_full_pass_references(make, n):
         if x.factors:
             # a product that makes a Delta factor on the right, and on the left
             simples.add(st.complement(x.factors[-1]))
-            simples.add(st.tau(st.complement_inv(x.factors[0]), -x.p))
+            # the left complement tau^{-1}(complement(f)) of f = x.factors[0], twisted by -p
+            simples.add(st.tau(st.complement(x.factors[0]), -x.p - 1))
         outputs = [x, inverse]
         for s in sorted(simples):
             right = st.nf_right_multiply(x, s)

@@ -394,7 +394,7 @@ def test_power_form_matches_standard_reference(n):
                 w = match_power_form(x, q)
                 assert w == standard_power_form(x, q), (word, k)
                 if w is not None and w.n >= 1:
-                    # the ladder at i = 1 gives A_1 = complement_inv(x1 B_1) x1
+                    # the ladder at i = 1 gives A_1 = tau^{-1}(complement(x1 B_1)) x1
                     assert is_suffix(st, w.x1, w.a_factors[0])
                     fused_yes += 1
     assert fused_yes >= 100

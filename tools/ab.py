@@ -17,10 +17,12 @@ and a change / parent ratio inside it is no change.
 One JSON line is printed: the total op time of each tree; the change /
 parent and control / parent ratios of it, in total and per label (the
 operation label up to its first dot); the failed operations of each tree;
-the calls, misses and entries of the ``local_sliding``, ``tau`` and
-``complement`` memos, which repeat exactly from run to run; and, per tree,
-``outputs_differ``: the operations whose normalised result differs from the
-parent's, with the first few of their labels.  The control must read 0.
+the calls, misses and entries of the ``local_sliding``, ``tau``,
+``complement`` and ``is_prefix`` memos, which repeat exactly from run to
+run, so a change that saves lattice calls shows as an exact count; and,
+per tree, ``outputs_differ``: the operations whose normalised result
+differs from the parent's, with the first few of their labels.  The
+control must read 0.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from workloads import KINDS, WORKLOADS, rounds_for, structure  # noqa: E402
 
 TREES = ("parent", "control", "change")
 ORDERS = tuple(itertools.permutations(TREES))  # each tree in each place and after each other
-COUNTED = ("local_sliding", "tau", "complement")
+COUNTED = ("local_sliding", "tau", "complement", "is_prefix")
 SHOWN_LABELS = 5  # differing labels printed per tree
 
 
